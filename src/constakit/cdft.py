@@ -4,9 +4,11 @@ When gcd(n, q) = 1 and lam is a unit of F_q, the polynomial x^n - lam
 splits into n distinct linear factors x - xi^j*beta over an extension
 field, where xi is a primitive n-th root of unity and beta is a fixed
 n-th root of lam.  Evaluating a length-n vector at those points is the
-forward transform; interpolation is the inverse.  Both xi and beta are
-realized as powers of a single element delta, so every point, scalar,
-and inverse scalar reduces to exponent arithmetic mod ord(delta).
+forward transform, A_j = sum_i a_i * (xi^j * beta)^i; interpolation is
+the inverse, a_i = n^-1 * sum_j A_j * (xi^j * beta)^(-i).  Both xi and
+beta are realized as powers of a single element delta, so both
+directions are one sum over powers of delta whose exponents are
+products mod ord(delta).
 
 Spectra of vectors over F_q are generally not over F_q themselves.  The
 trace they leave instead is the constraint A_j^q = A_{q*j + t}, with the
@@ -79,9 +81,9 @@ class RootBasis:
 
     xi = delta^xi_exp has order exactly n and beta = delta^beta_exp
     satisfies beta^n = lam.  Keeping everything inside the cyclic group
-    generated by delta means products of points, their inverses, and the
-    interpolation scalars never require a field inversion or discrete
-    logarithm, only exponent arithmetic mod ord(delta).
+    generated by delta means products of points and their inverses never
+    require a field inversion or discrete logarithm, only exponent
+    arithmetic mod ord(delta).
     """
 
     __slots__ = (
@@ -97,7 +99,6 @@ class RootBasis:
         "_dpow_rep",
         "_dpow_cache",
         "_point_exp",
-        "_inv_scalar",
     )
 
     def __init__(
@@ -152,7 +153,6 @@ class RootBasis:
             raise ValueError("no frobenius shift; beta^(q-1) escaped <xi>")
 
         self._point_exp = tuple((xi_exp * j + beta_exp) % e for j in range(n))
-        self._inv_scalar = None
 
     @property
     def n(self) -> int:
@@ -183,84 +183,30 @@ class RootBasis:
     def forward(self, coeffs: Sequence[FieldElem]) -> "Spectrum":
         """Spectrum of a base-field vector (padded with zeros to length n)."""
         base = self.params.field
-        n = self.n
-        if len(coeffs) > n:
-            raise ValueError(f"vector longer than n = {n}")
-        reps = []
-        for c in coeffs:
-            if not isinstance(c, FieldElem) or c.ctx is not base:
-                raise ValueError("coefficients must be elements of the base field")
-            reps.append(c.rep)
-        reps.extend([base.zero_rep] * (n - len(reps)))
-        spl = self.splitting
-        if spl is base:
-            values = self._eval_all(reps)
-        elif spl.kind == "vector":
-            values = self._eval_all_scaled(reps)
-        else:
-            values = self._eval_all([spl.embed_from_sub(r) for r in reps])
-        return Spectrum(self, values)
+        reps = self._reps(coeffs, base, "coefficients must be elements of the base field")
+        return self._spectrum(reps, base)
 
     def forward_poly(self, f: Poly) -> "Spectrum":
         if f.ctx is not self.params.field:
             raise ValueError("polynomial is over the wrong field")
         if f.degree >= self.n:
             raise ValueError("polynomial degree must be below n")
-        return self.forward(list(f))
+        return self._spectrum(f.padded(self.n), f.ctx)
 
     def forward_extended(self, coeffs: Sequence[FieldElem]) -> "Spectrum":
         """Spectrum of a vector already over the splitting field."""
         spl = self.splitting
-        n = self.n
-        if len(coeffs) > n:
-            raise ValueError(f"vector longer than n = {n}")
-        reps = []
-        for c in coeffs:
-            if not isinstance(c, FieldElem) or c.ctx is not spl:
-                raise ValueError("coefficients must be elements of the splitting field")
-            reps.append(c.rep)
-        reps.extend([spl.zero_rep] * (n - len(reps)))
-        return Spectrum(self, self._eval_all(reps))
-
-    def _eval_all(self, reps) -> tuple[FieldElem, ...]:
-        # A_j = sum_i a_i * delta^(point_exp[j] * i), all at splitting level.
-        spl = self.splitting
-        add, mul = spl.add, spl.mul
-        zero = spl.zero_rep
-        e = self.delta_order
-        dp = self._dpow_rep_of
-        out = []
-        for pj in self._point_exp:
-            acc = zero
-            for i, c in enumerate(reps):
-                if c != zero:
-                    acc = add(acc, mul(c, dp(pj * i % e)))
-            out.append(FieldElem(spl, acc))
-        return tuple(out)
-
-    def _eval_all_scaled(self, reps) -> tuple[FieldElem, ...]:
-        # Same sum, but the coefficients sit one level down, so each term
-        # is a componentwise scale instead of a full product.
-        spl = self.splitting
-        add, scale = spl.add, spl.scale
-        zero = spl.zero_rep
-        sub_zero = self.params.field.zero_rep
-        e = self.delta_order
-        dp = self._dpow_rep_of
-        out = []
-        for pj in self._point_exp:
-            acc = zero
-            for i, c in enumerate(reps):
-                if c != sub_zero:
-                    acc = add(acc, scale(dp(pj * i % e), c))
-            out.append(FieldElem(spl, acc))
-        return tuple(out)
+        reps = self._reps(coeffs, spl, "coefficients must be elements of the splitting field")
+        return self._spectrum(reps, spl)
 
     def inverse(self, values) -> tuple[FieldElem, ...]:
         """Vector over the splitting field whose spectrum is `values`.
 
-        a_i = (1 / (n * beta^i)) * sum_j A_j * xi^(-i*j).  The caller
-        decides whether to project the result down to the base field.
+        a_i = n^-1 * sum_j A_j * (xi^j * beta)^(-i).  The power is
+        delta^(-i * point_exp[j]), so this is the forward kernel with the
+        roles of i and j swapped; n^-1 scales the values before the sum.
+        The caller decides whether to project the result down to the base
+        field.
         """
         if isinstance(values, Spectrum):
             values = values.values
@@ -268,35 +214,46 @@ class RootBasis:
         n = self.n
         if len(values) != n:
             raise ValueError(f"spectrum must have exactly n = {n} values")
+        reps = self._reps(values, spl, "spectrum values must lie in the splitting field")
+        n_inv = spl.rep_from_index(pow(n, -1, spl.p))
+        reps = [spl.mul(r, n_inv) for r in reps]
+        return self._transform(range(0, -n, -1), self._point_exp, reps, spl)
+
+    def _reps(self, elems, ctx: FieldCtx, message: str) -> list:
+        n = self.n
+        if len(elems) > n:
+            raise ValueError(f"vector longer than n = {n}")
         reps = []
-        for v in values:
-            if not isinstance(v, FieldElem) or v.ctx is not spl:
-                raise ValueError("spectrum values must lie in the splitting field")
-            reps.append(v.rep)
-        add, mul = spl.add, spl.mul
-        zero = spl.zero_rep
+        for x in elems:
+            if not isinstance(x, FieldElem) or x.ctx is not ctx:
+                raise ValueError(message)
+            reps.append(x.rep)
+        return reps
+
+    def _spectrum(self, reps, ctx: FieldCtx) -> "Spectrum":
+        return Spectrum(self, self._transform(self._point_exp, range(self.n), reps, ctx))
+
+    def _transform(self, us, vs, reps, ctx: FieldCtx) -> tuple[FieldElem, ...]:
+        """out_r = sum_c delta^(u_r * v_c) * x_c, for x_c = reps[c] over ctx.
+
+        ctx is the splitting field or the level just below it.  In the
+        latter case each term is spl.scale, a componentwise product by a
+        sublevel element; at prime and tabulated levels scale is mul,
+        because sublevel indices embed as themselves.
+        """
+        spl = self.splitting
+        add, zero = spl.add, spl.zero_rep
+        term = spl.mul if ctx is spl else spl.scale
         e = self.delta_order
         dp = self._dpow_rep_of
-        scalars = self._inverse_scalars()
+        terms = [(v, x) for v, x in zip(vs, reps) if x != ctx.zero_rep]
         out = []
-        for i in range(n):
+        for u in us:
             acc = zero
-            for j, v in enumerate(reps):
-                if v != zero:
-                    acc = add(acc, mul(v, dp(-self.xi_exp * i * j % e)))
-            out.append(FieldElem(spl, mul(acc, scalars[i])))
+            for v, x in terms:
+                acc = add(acc, term(dp(u * v % e), x))
+            out.append(FieldElem(spl, acc))
         return tuple(out)
-
-    def _inverse_scalars(self):
-        if self._inv_scalar is None:
-            spl = self.splitting
-            n_inv = spl.elem(pow(self.n, -1, spl.p)).rep
-            e = self.delta_order
-            self._inv_scalar = tuple(
-                spl.mul(n_inv, self._dpow_rep_of(-self.beta_exp * i % e))
-                for i in range(self.n)
-            )
-        return self._inv_scalar
 
     # -- rationality and factors ---------------------------------------
 

@@ -31,26 +31,12 @@ class CliError(Exception):
 # -- element and polynomial marshalling -----------------------------------
 
 
-def _nested_zero(field: FieldCtx):
-    if not field.degrees:
-        return 0
-    return [_nested_zero(field.subfield)] * field.step_degree
-
-
-def _nested_constant(field: FieldCtx, value: int):
-    if not field.degrees:
-        return value % field.p
-    out = [_nested_zero(field.subfield)] * field.step_degree
-    out[0] = _nested_constant(field.subfield, value)
-    return out
-
-
 def parse_element(field: FieldCtx, obj):
     """Element from an int (constant) or a coefficient array over F_p."""
     if isinstance(obj, bool):
         raise CliError(f"not a field element: {obj!r}")
     if isinstance(obj, int):
-        return field.elem(_nested_constant(field, obj))
+        return build_field(field.p, []).elem(obj % field.p).lift(field)
     if isinstance(obj, list):
         try:
             return field.elem(obj)
@@ -72,28 +58,6 @@ def parse_poly(field: FieldCtx, obj) -> Poly:
 
 def poly_out(f: Poly) -> list:
     return [element_out(c) for c in f]
-
-
-def _poly_str(f: Poly) -> str:
-    if f.is_zero:
-        return "0"
-    ctx = f.ctx
-    terms = []
-    for i in range(f.degree, -1, -1):
-        rep = f.coeff_rep(i)
-        if rep == ctx.zero_rep:
-            continue
-        cs = ctx.rep_to_str(rep)
-        xs = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-        if not xs:
-            terms.append(cs)
-        elif cs == "1":
-            terms.append(xs)
-        elif any(ch in cs for ch in "+- "):
-            terms.append(f"({cs})*{xs}")
-        else:
-            terms.append(f"{cs}*{xs}")
-    return " + ".join(terms)
 
 
 def _json_flag(text: str, flag: str):
@@ -177,8 +141,7 @@ def _basis_report(basis: RootBasis) -> dict:
 # -- commands --------------------------------------------------------------
 
 
-def cmd_factor(args) -> tuple[dict, int]:
-    field = _field_from_args(args)
+def cmd_factor(args, field: FieldCtx) -> tuple[dict, int]:
     params = _params(field, args.n, args.lam)
     basis = build_basis(params)
     result = {
@@ -226,8 +189,7 @@ def _product_report(method: str, code: cd.ConstaCode, oracle_gen: Poly, oracle_d
     }
 
 
-def cmd_product(args) -> tuple[dict, int]:
-    field = _field_from_args(args)
+def cmd_product(args, field: FieldCtx) -> tuple[dict, int]:
     c1, c2 = _collect_codes(args, field)
     try:
         by_sum = cd.schur_product_sumset(c1, c2)
@@ -252,8 +214,7 @@ def cmd_product(args) -> tuple[dict, int]:
     return out, 0 if agree else 1
 
 
-def cmd_powers(args) -> tuple[dict, int]:
-    field = _field_from_args(args)
+def cmd_powers(args, field: FieldCtx) -> tuple[dict, int]:
     if args.generator is not None and args.gen_set is not None:
         raise CliError("give the code as --generator or --gen-set, not both")
     if args.generator is not None:
@@ -282,7 +243,7 @@ def cmd_powers(args) -> tuple[dict, int]:
     return result, 0
 
 
-def cmd_verify(args) -> tuple[dict, int]:
+def cmd_verify(args, _field=None) -> tuple[dict, int]:
     qs = _json_flag(args.grid_q, "--grid-q")
     if isinstance(qs, int):
         qs = [qs]
@@ -363,9 +324,7 @@ def _render_text(command: str, result: dict, field: FieldCtx | None) -> str:
             f"beta={_cell(b['beta'])} t={b['t']} m1={b['m1']} m2={b['m2']}"
         )
         for f, orb in zip(result["factors"], b["orbits"]):
-            fp = parse_poly(field, f) if field is not None else None
-            shown = _poly_str(fp) if fp is not None else _cell(f)
-            lines.append(f"orbit {_cell(orb)}: {shown}")
+            lines.append(f"orbit {_cell(orb)}: {parse_poly(field, f)}")
     elif command == "product":
         for r in result["reports"]:
             lines.append(
@@ -445,7 +404,9 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        result, status = _HANDLERS[args.command](args)
+        # verify builds its own fields; every other command works in one.
+        field = None if args.command == "verify" else _field_from_args(args)
+        result, status = _HANDLERS[args.command](args, field)
     except CliError as exc:
         sys.stdout.write(_render_json({"error": str(exc)}))
         return 2
@@ -455,9 +416,6 @@ def main(argv=None) -> int:
     elif args.format == "csv":
         rendered = _render_csv(args.command, result)
     else:
-        field = None
-        if args.command == "factor":
-            field = _field_from_args(args)
         rendered = _render_text(args.command, result, field)
 
     if args.out:

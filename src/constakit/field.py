@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from . import numbertheory as nt
-from .poly import Poly, poly_xgcd, pow_mod
+from .poly import Poly, format_terms, poly_xgcd, pow_mod
 
 #: Levels with at most this many elements get full lookup tables and use
 #: int indices as their representation.
@@ -364,24 +364,7 @@ class FieldCtx:
         if self.kind == "prime":
             return str(rep)
         vec = self._vecs[rep] if self.kind == "tabulated" else rep
-        var = _var_name(len(self.degrees))
-        terms = []
-        for j in range(len(vec) - 1, -1, -1):
-            c = vec[j]
-            if c == self.subfield.zero_rep:
-                continue
-            cs = self.subfield.rep_to_str(c)
-            if j == 0:
-                terms.append(cs)
-                continue
-            xs = var if j == 1 else f"{var}^{j}"
-            if cs == "1":
-                terms.append(xs)
-            elif any(ch in cs for ch in "+- "):
-                terms.append(f"({cs})*{xs}")
-            else:
-                terms.append(f"{cs}*{xs}")
-        return " + ".join(terms) if terms else "0"
+        return format_terms(self.subfield, vec, _var_name(len(self.degrees)))
 
     # -- public API ---------------------------------------------------------
 

@@ -117,6 +117,10 @@ class Poly:
     def __hash__(self) -> int:
         return hash((id(self.ctx), self.coeffs))
 
+    def __str__(self) -> str:
+        """Readable form with field-valued coefficients, e.g. x^2 + (y + 2)*x + 1."""
+        return format_terms(self.ctx, self.coeffs, "x")
+
     def __repr__(self) -> str:
         if self.is_zero:
             return "Poly(0)"
@@ -251,6 +255,31 @@ class Poly:
 
 
 # -- module-level operations ----------------------------------------------
+
+
+def format_terms(ctx, reps: Sequence, var: str) -> str:
+    """Text of sum_i reps[i] * var^i over ctx, highest power first.
+
+    Zero terms are dropped, unit coefficients are left implicit, and a
+    coefficient whose own text is a sum is parenthesised.  All-zero is "0".
+    """
+    terms = []
+    for i in range(len(reps) - 1, -1, -1):
+        c = reps[i]
+        if c == ctx.zero_rep:
+            continue
+        cs = ctx.rep_to_str(c)
+        if i == 0:
+            terms.append(cs)
+            continue
+        xs = var if i == 1 else f"{var}^{i}"
+        if cs == "1":
+            terms.append(xs)
+        elif any(ch in cs for ch in "+- "):
+            terms.append(f"({cs})*{xs}")
+        else:
+            terms.append(f"{cs}*{xs}")
+    return " + ".join(terms) if terms else "0"
 
 
 def mul_mod_constacyclic(a: Poly, b: Poly, n: int, lam) -> Poly:

@@ -12,7 +12,7 @@ from constakit import (
     mul_mod_constacyclic,
     schur,
 )
-from constakit.cdft import RootBasis
+from constakit.cdft import EAGER_POWER_LIMIT, RootBasis
 
 
 def small_int(field, k):
@@ -279,3 +279,53 @@ def test_family_rejects_foreign_lambda(f3, f5):
     fam = BasisFamily(f3, 4)
     with pytest.raises(ValueError):
         fam.basis_for_lambda(f5.one())
+
+
+def test_lazy_delta_powers_round_trip_and_factor():
+    """q = 4099, n = 2, lam = 2: ord(delta) = 8196 is past the eager table."""
+    field = build_field(4099, [])
+    basis = build_basis(CodeParams(field, 2, field.elem(2)))
+    assert basis.delta_order == 8196 > EAGER_POWER_LIMIT
+    spl = basis.splitting
+    rng = random.Random(11)
+    for _ in range(5):
+        a = [field.elem(rng.randrange(4099)) for _ in range(2)]
+        spec = basis.forward(a)
+        assert spec.values == basis.forward_extended([x.lift(spl) for x in a]).values
+        assert list(spec.inverse()) == [x.lift(spl) for x in a]
+    product = Poly.one(field)
+    for f in basis.irreducible_factors():
+        product = product * f
+    assert product == Poly.from_elements([field.elem(4097), field.zero(), field.one()])
+
+
+@pytest.mark.parametrize("lam", [1, 2])
+def test_transform_over_a_vector_on_vector_splitting_field(lam):
+    """Base GF(3^5), n = 4: the splitting field GF(3^10) is a vector level on
+    a vector level, so forward scales through the generic sublevel ops."""
+    field = build_field(3, [5])
+    basis = build_basis(CodeParams(field, 4, field.elem(lam)))
+    spl = basis.splitting
+    assert spl.degrees == (5, 2) and spl.subfield.kind == "vector"
+    rng = random.Random(lam)
+    for _ in range(3):
+        a = [field.elem(rng.randrange(243)) for _ in range(4)]
+        spec = basis.forward(a)
+        assert spec.is_rational()
+        assert spec.values == basis.forward_extended([x.lift(spl) for x in a]).values
+        assert list(spec.inverse()) == [x.lift(spl) for x in a]
+
+
+def test_transforms_reject_wrong_context_inputs(f3):
+    basis = build_basis(CodeParams(f3, 4, f3.elem(2)))
+    spl = basis.splitting
+    with pytest.raises(ValueError, match="^coefficients must be elements of the base field$"):
+        basis.forward([spl.one()])
+    with pytest.raises(ValueError, match="^coefficients must be elements of the splitting field$"):
+        basis.forward_extended([f3.one()])
+    with pytest.raises(ValueError, match="^spectrum values must lie in the splitting field$"):
+        basis.inverse([f3.one()] * 4)
+    with pytest.raises(ValueError, match="^vector longer than n = 4$"):
+        basis.forward_extended([spl.one()] * 5)
+    with pytest.raises(ValueError, match="^spectrum must have exactly n = 4 values$"):
+        basis.inverse([spl.one()] * 5)

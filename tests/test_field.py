@@ -38,6 +38,25 @@ def test_axioms_sampled_tower():
     field_axioms(field, sample)
 
 
+@pytest.mark.parametrize("p,degrees", [(2, [8, 2]), (3, [5, 2])])
+def test_axioms_vector_on_vector(p, degrees):
+    """GF(2^16) over GF(2^8) and GF(3^10) over GF(3^5) run the generic
+    vector ops, whose sublevel is itself a vector level."""
+    field = build_field(p, degrees)
+    assert field.kind == field.subfield.kind == "vector"
+    rng = random.Random(p)
+    sample = [field.elem(rng.randrange(1, field.cardinality)) for _ in range(9)]
+    field_axioms(field, sample + [field.zero()])
+    for a, b, c in zip(sample[0::3], sample[1::3], sample[2::3]):
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a - b == a + (-b) == -(b - a)
+    sub = field.subfield
+    for a in sample:
+        s = sub.elem(rng.randrange(sub.cardinality))
+        assert FieldElem(field, field.scale(a.rep, s.rep)) == a * s.lift(field)
+
+
 def test_build_field_caches_prefixes():
     tower = build_field(2, [2, 3])
     assert tower.subfield is build_field(2, [2])
