@@ -143,7 +143,10 @@ def _basis_report(basis: RootBasis) -> dict:
 
 def cmd_factor(args, field: FieldCtx) -> tuple[dict, int]:
     params = _params(field, args.n, args.lam)
-    basis = build_basis(params)
+    try:
+        basis = build_basis(params)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     result = {
         "params": {
             "p": field.p,
@@ -224,15 +227,15 @@ def cmd_powers(args, field: FieldCtx) -> tuple[dict, int]:
     else:
         raise CliError("give the code as --generator or --gen-set")
     try:
-        dims, r = cd.dimension_sequence(c)
         report = cd.bounds_report(c)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    dims = report["dims"]
     result = {
         "params": {"p": field.p, "degrees": list(field.degrees)},
         "code": describe_code(c),
         "dims": list(dims),
-        "r": r,
+        "r": report["r"],
         "fills": dims[-1] == c.params.n,
         "bounds": {
             "square_fills": report["square_fills"],

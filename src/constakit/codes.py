@@ -20,7 +20,7 @@ from .cdft import BasisFamily, CodeParams, RootBasis
 from .field import FieldCtx, FieldElem
 from .numbertheory import is_prime
 from .poly import Poly, _schur_reps, poly_gcd, reciprocal
-from .zn import ZnSet, fourier_bias, iterated_sumset, sumset
+from .zn import ZnSet, fourier_bias, iterated_sumset, smallest_coset, sumset
 
 _FAMILIES: dict[tuple[int, tuple[int, ...], int], BasisFamily] = {}
 
@@ -205,22 +205,19 @@ class PatternPoly:
 def pattern_polynomial(c: ConstaCode) -> PatternPoly:
     """Pattern of a nonzero code, read off its generating set.
 
-    d = gcd of the differences within G (and n); d = 1 means the support
-    spreads over all of Z_n and the pattern is trivial.  Otherwise
-    v = n/d and alpha is the ratio g_v / g_0, which is well defined
-    because the core factor of g has degree below v.
+    v is the size of the subgroup of Z_n generated by the differences
+    within G (the one smallest_coset finds); v = n means the support
+    spreads over all of Z_n and the pattern is trivial.  Otherwise alpha
+    is the ratio g_v / g_0, which is well defined because the core factor
+    of g has degree below v.
     """
     if c.is_zero:
         raise ValueError("the zero code has no pattern polynomial")
     ctx = c.params.field
     n = c.params.n
-    elems = c.gen_set.elements
-    d = n
-    for a in elems[1:]:
-        d = math.gcd(d, a - elems[0])
-    if d == 1:
+    v = len(smallest_coset(c.gen_set)[1])
+    if v == n:
         return PatternPoly(n, n, ctx.one())
-    v = n // d
     g = c.generator
     alpha = g[v] / g[0]
     if alpha.is_zero:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from . import numbertheory as nt
-from .poly import Poly, format_terms, poly_xgcd, pow_mod
+from .poly import Poly, format_terms, poly_gcd, poly_xgcd, pow_mod
 
 #: Levels with at most this many elements get full lookup tables and use
 #: int indices as their representation.
@@ -399,14 +399,6 @@ class FieldCtx:
             max_cardinality=max_cardinality or DEFAULT_MAX_CARDINALITY,
         )
 
-    def is_extension_of(self, other: "FieldCtx") -> bool:
-        c = self
-        while c is not None:
-            if c is other:
-                return True
-            c = c.subfield
-        return False
-
     def describe(self) -> dict:
         moduli = []
         c = self
@@ -582,8 +574,6 @@ def _is_irreducible(f: Poly, sub: FieldCtx) -> bool:
             powers[k] = frob
     if powers[d] != x % f:
         return False
-    from .poly import poly_gcd
-
     for k in checkpoints:
         if poly_gcd(powers[k] - x, f).degree != 0:
             return False

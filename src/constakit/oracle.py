@@ -1,10 +1,15 @@
 """Brute-force ground truth, deliberately oblivious to spectra.
 
-Everything here works on coefficient vectors and row reduction over the
-base field: Schur products as spans of pairwise componentwise products,
-duals as nullspaces, patterns by exhaustive divisor search.  None of it
-touches roots of unity, so agreement with the spectral methods is a
-real cross-check rather than the same computation twice.
+Everything here works on coefficient vectors and one row reduction over
+the base field: Schur products as spans of pairwise componentwise
+products, duals as nullspaces, patterns by exhaustive divisor search.
+None of it touches roots of unity, so agreement with the spectral
+methods is a real cross-check rather than the same computation twice.
+
+rref reads its rows in one pass and stops once every column is a pivot.
+The product oracle feeds it vectors in descending-degree coordinates
+(x^(n-1) first, x^0 last), so the last echelon row is the monic element
+of least degree: the generator.
 """
 
 from __future__ import annotations
@@ -14,49 +19,54 @@ from .numbertheory import divisors
 from .poly import Poly, _schur_reps
 
 
-def rref(ctx, rows) -> tuple[list[tuple], list[int]]:
-    """Reduced row echelon form with deterministic pivoting.
-
-    Pivots are chosen leftmost-column first, smallest row index first,
-    scaled to 1, and eliminated above and below, so any two row sets
-    spanning the same subspace reduce to the identical list.
-    """
-    zero = ctx.zero_rep
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    pr = 0
-    for col in range(ncols):
-        hit = None
-        for i in range(pr, len(mat)):
-            if mat[i][col] != zero:
-                hit = i
-                break
-        if hit is None:
-            continue
-        mat[pr], mat[hit] = mat[hit], mat[pr]
-        inv = ctx.inv(mat[pr][col])
-        mat[pr] = [ctx.mul(inv, c) for c in mat[pr]]
-        for i in range(len(mat)):
-            if i != pr and mat[i][col] != zero:
-                f = mat[i][col]
-                row = mat[pr]
-                mat[i] = [ctx.sub(c, ctx.mul(f, row[j])) for j, c in enumerate(mat[i])]
-        pivots.append(col)
-        pr += 1
-    return [tuple(r) for r in mat[:pr]], pivots
-
-
-def span_contains(ctx, echelon, pivots, vec) -> bool:
-    """Whether vec lies in the row space given by rref output."""
+def _reduce(ctx, echelon, pivots, vec) -> list:
+    """vec minus its components along the pivot rows; zero iff vec is in their span."""
     zero = ctx.zero_rep
     v = list(vec)
     for row, col in zip(echelon, pivots):
         f = v[col]
         if f != zero:
-            for j, c in enumerate(row):
-                v[j] = ctx.sub(v[j], ctx.mul(f, c))
-    return all(c == zero for c in v)
+            for j in range(col, len(v)):
+                v[j] = ctx.sub(v[j], ctx.mul(f, row[j]))
+    return v
+
+
+def rref(ctx, rows) -> tuple[list[tuple], list[int]]:
+    """Reduced row echelon form of the span of rows, in one pass.
+
+    Each row is reduced by the pivot rows found so far; a nonzero
+    remainder is scaled to a leading 1, cleared from the earlier pivot
+    rows, and becomes a pivot row itself.  Reading stops once every
+    column is a pivot.  The reduced echelon form of a span is unique, so
+    any two row sets spanning the same subspace give the identical list,
+    sorted by pivot column.
+    """
+    zero = ctx.zero_rep
+    echelon: list[list] = []
+    pivots: list[int] = []
+    for r in rows:
+        v = _reduce(ctx, echelon, pivots, r)
+        col = next((j for j, c in enumerate(v) if c != zero), None)
+        if col is None:
+            continue
+        inv = ctx.inv(v[col])
+        v = [ctx.mul(inv, c) for c in v]
+        for i, row in enumerate(echelon):
+            f = row[col]
+            if f != zero:
+                echelon[i] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(row, v)]
+        echelon.append(v)
+        pivots.append(col)
+        if len(pivots) == len(v):
+            break
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [tuple(echelon[i]) for i in order], [pivots[i] for i in order]
+
+
+def span_contains(ctx, echelon, pivots, vec) -> bool:
+    """Whether vec lies in the row space given by rref output."""
+    zero = ctx.zero_rep
+    return all(c == zero for c in _reduce(ctx, echelon, pivots, vec))
 
 
 def generator_rows(c: ConstaCode) -> list[tuple]:
@@ -66,27 +76,14 @@ def generator_rows(c: ConstaCode) -> list[tuple]:
     return [g.shift(j).padded(n) for j in range(n - g.degree)]
 
 
-def _min_degree_generator(ctx, rows, n: int):
-    """Monic minimal-degree vector in a shift-closed row space.
-
-    Eliminating from the highest coefficient downward leaves rows with
-    distinct top degrees; in an ideal of F_q[x]/(x^n - lam) the smallest
-    of those degrees is attained only by scalar multiples of the monic
-    generator, so the last row is the generator itself.
-    """
-    reversed_rows = [tuple(reversed(r)) for r in rows]
-    echelon, _ = rref(ctx, reversed_rows)
-    best = echelon[-1][::-1]
-    return Poly(ctx, list(best)).monic()
-
-
 def oracle_schur_product(c1: ConstaCode, c2: ConstaCode) -> tuple[int, Poly]:
     """(dim, monic generator) of the componentwise product span.
 
-    Forms all pairwise Schur products of the two shift bases and row
-    reduces.  The span is checked to be closed under the lam1*lam2
-    constacyclic shift; that closure is what makes the minimal-degree
-    row a legitimate generator.
+    Forms all distinct pairwise Schur products of the two shift bases in
+    descending-degree coordinates and row reduces them once.  The span
+    is checked to be closed under the lam1*lam2 constacyclic shift; that
+    closure makes it an ideal, whose monic element of least degree (the
+    last echelon row) is its generator.
     """
     p1, p2 = c1.params, c2.params
     if p1.field is not p2.field or p1.n != p2.n:
@@ -94,28 +91,19 @@ def oracle_schur_product(c1: ConstaCode, c2: ConstaCode) -> tuple[int, Poly]:
     ctx = p1.field
     n = p1.n
     lam3 = p1.lam * p2.lam
-    rows = []
-    seen = set()
-    for r1 in generator_rows(c1):
-        for r2 in generator_rows(c2):
-            prod = _schur_reps(ctx, r1, r2)
-            if prod not in seen:
-                seen.add(prod)
-                rows.append(prod)
-    if not rows:
-        xn = Poly.monomial(ctx, n) - Poly.from_elements([lam3])
-        return 0, xn
-    echelon, pivots = rref(ctx, rows)
+    rows1 = [r[::-1] for r in generator_rows(c1)]
+    rows2 = [r[::-1] for r in generator_rows(c2)]
+    products = dict.fromkeys(_schur_reps(ctx, a, b) for a in rows1 for b in rows2)
+    echelon, pivots = rref(ctx, products)
     lam3_rep = lam3.rep
     for r in echelon:
-        shifted = (ctx.mul(lam3_rep, r[-1]),) + r[:-1]
+        shifted = r[1:] + (ctx.mul(lam3_rep, r[0]),)
         if not span_contains(ctx, echelon, pivots, shifted):
             raise AssertionError("product span is not constacyclic; theory violated")
     dim = len(echelon)
     if dim == 0:
-        xn = Poly.monomial(ctx, n) - Poly.from_elements([lam3])
-        return 0, xn
-    gen = _min_degree_generator(ctx, echelon, n)
+        return 0, Poly.monomial(ctx, n) - Poly.from_elements([lam3])
+    gen = Poly(ctx, echelon[-1][::-1])
     if gen.degree != n - dim:
         raise AssertionError("generator degree disagrees with rank")
     return dim, gen
@@ -149,15 +137,7 @@ def oracle_dual(c: ConstaCode) -> tuple[int, list[tuple]]:
     ctx = c.params.field
     n = c.params.n
     zero, one = ctx.zero_rep, ctx.one_rep
-    rows = generator_rows(c)
-    if not rows:
-        ident = []
-        for i in range(n):
-            row = [zero] * n
-            row[i] = one
-            ident.append(tuple(row))
-        return n, ident
-    echelon, pivots = rref(ctx, rows)
+    echelon, pivots = rref(ctx, generator_rows(c))
     free = [j for j in range(n) if j not in pivots]
     null_rows = []
     for f in free:
@@ -166,7 +146,5 @@ def oracle_dual(c: ConstaCode) -> tuple[int, list[tuple]]:
         for row, col in zip(echelon, pivots):
             vec[col] = ctx.neg(row[f])
         null_rows.append(tuple(vec))
-    if not null_rows:
-        return 0, []
     reduced, _ = rref(ctx, null_rows)
     return len(reduced), reduced

@@ -93,7 +93,7 @@ def _check_single_code(c: cd.ConstaCode, rec: _Recorder, ctxinfo: dict) -> None:
     rec.record("dual_set_matches_code", dset == dual.gen_set, info)
     null_dim, null_rows = oc.oracle_dual(c)
     rec.record("dual_dim", null_dim == dual.dim, info)
-    dual_rows, _ = oc.rref(params.field, oc.generator_rows(dual)) if not dual.is_zero else ([], [])
+    dual_rows, _ = oc.rref(params.field, oc.generator_rows(dual))
     rec.record("dual_space", dual_rows == null_rows, info)
 
     if c.is_zero:

@@ -56,6 +56,13 @@ def test_factor_rejects_zero_lambda(capsys):
     assert "error" in doc
 
 
+def test_factor_rejects_splitting_field_over_the_cap(capsys):
+    # x^67 - 1 over F_2 splits in GF(2^66), above the 2^64 tower cap
+    rc, doc = run_json(capsys, "factor", "--p", "2", "--n", "67", "--lambda", "1")
+    assert rc == 2
+    assert "exceeds the cap" in doc["error"]
+
+
 def test_factor_extension_field(capsys):
     rc, doc = run_json(
         capsys, "factor", "--p", "3", "--degrees", "2", "--n", "2", "--lambda", "[0,1]"

@@ -24,6 +24,8 @@ _FACTOR_PAREN = ["factor", "--p", "3", "--degrees", "2", "--n", "5", "--lambda",
 _PRODUCT = ["product", "--p", "2", "--n", "7", "--lambda", "1",
             "--generator", "[1,1,0,1]", "--method", "all"]
 _POWERS = ["powers", "--p", "3", "--n", "4", "--lambda", "2", "--generator", "[2,1,1]"]
+_VERIFY_README = ["verify", "--grid-q", "[2,3]", "--grid-n", "6"]
+_VERIFY_TABULATED = ["verify", "--grid-q", "[8,9]", "--grid-n", "5"]
 
 SPECS = {
     "factor_q3_n4_lam2.json": _FACTOR_README,
@@ -38,6 +40,10 @@ SPECS = {
     "powers_q3_n4_lam2.json": _POWERS,
     "powers_q3_n4_lam2.csv": _POWERS + ["--format", "csv"],
     "powers_q3_n4_lam2.txt": _POWERS + ["--format", "text"],
+    "verify_q2_q3_n6.json": _VERIFY_README,
+    "verify_q8_q9_n5.json": _VERIFY_TABULATED,
+    "verify_q8_q9_n5.csv": _VERIFY_TABULATED + ["--format", "csv"],
+    "verify_q8_q9_n5.txt": _VERIFY_TABULATED + ["--format", "text"],
 }
 
 
