@@ -16,8 +16,10 @@ non-leading coefficients.
 
 Representations.  Internally an element of a level is
   * an int residue, at the prime level;
-  * an int canonical index, at small levels (at most TABLE_LIMIT elements)
-    where full multiplication/addition tables are precomputed;
+  * an int canonical index, at levels of at most TABLE_LIMIT (4096)
+    elements, with arithmetic on exp/log/Zech arrays of O(Q) entries;
+    levels of at most SQUARE_TABLE_LIMIT (128) elements derive full
+    Q x Q add/mul tables from those arrays and use them instead;
   * a tuple of sublevel representations otherwise.
 Subfields embed positionally: the element of index i in a sublevel is the
 element of index i upstairs, so embedding small-field scalars is free.
@@ -28,14 +30,20 @@ find_element_of_order.
 
 from __future__ import annotations
 
+from array import array
+from contextlib import suppress
 from typing import Iterable, Iterator, Sequence
 
 from . import numbertheory as nt
 from .poly import Poly, format_terms, poly_gcd, poly_xgcd, pow_mod
 
-#: Levels with at most this many elements get full lookup tables and use
-#: int indices as their representation.
-TABLE_LIMIT = 128
+#: Levels with at most this many elements use int indices as their
+#: representation, with O(Q) exp/log/Zech arrays behind the arithmetic.
+TABLE_LIMIT = 4096
+
+#: Tabulated levels this small also keep full Q x Q add/mul tables, which
+#: are cheaper per op and which the vector ops of the level above read.
+SQUARE_TABLE_LIMIT = 128
 
 #: find_element_of_order walks the canonical scan only in fields up to this
 #: size; larger fields use a deterministic subgroup construction instead
@@ -251,32 +259,12 @@ class FieldCtx:
                 digits.append(sub.rep_from_index(r))
             return tuple(digits)
 
+        ctx._vec_to_index = vec_to_index
+        ctx._vec_from_index = vec_from_index
         if ctx.cardinality <= TABLE_LIMIT:
             ctx.kind = "tabulated"
-            n_el = ctx.cardinality
-            vecs = [vec_from_index(i) for i in range(n_el)]
-            ctx._vecs = tuple(vecs)
-            pos = {v: i for i, v in enumerate(vecs)}
-            add_t = [[pos[vec_add(a, b)] for b in vecs] for a in vecs]
-            mul_t = [[pos[vec_mul(a, b)] for b in vecs] for a in vecs]
-            neg_t = [pos[vec_neg(a)] for a in vecs]
-            inv_t = [0] + [pos[vec_inv(a)] for a in vecs[1:]]
-            ctx._add_t, ctx._mul_t = add_t, mul_t
-            ctx.zero_rep, ctx.one_rep = 0, pos[ctx._vec_one]
-            ctx.add = lambda a, b: add_t[a][b]
-            ctx.sub = lambda a, b: add_t[a][neg_t[b]]
-            ctx.neg = lambda a: neg_t[a]
-            ctx.mul = lambda a, b: mul_t[a][b]
-
-            def tab_inv(a):
-                if a == 0:
-                    raise ZeroDivisionError("inverse of zero")
-                return inv_t[a]
-
-            ctx.inv = tab_inv
-            # Scaling by an embedded sublevel element is plain multiplication
-            # because sub indices embed as identical indices here.
-            ctx.scale = ctx.mul
+            ctx.zero_rep, ctx.one_rep = 0, 1
+            _install_log_ops(ctx, vec_mul)
         else:
             ctx.kind = "vector"
             ctx.zero_rep, ctx.one_rep = ctx._vec_zero, ctx._vec_one
@@ -286,8 +274,6 @@ class FieldCtx:
             ctx.mul = vec_mul
             ctx.inv = vec_inv
             ctx.scale = vec_scale
-        ctx._vec_to_index = vec_to_index
-        ctx._vec_from_index = vec_from_index
         return ctx
 
     # -- representation plumbing -------------------------------------------
@@ -307,7 +293,7 @@ class FieldCtx:
     def rep_to_nested(self, rep):
         if self.kind == "prime":
             return rep
-        vec = self._vecs[rep] if self.kind == "tabulated" else rep
+        vec = rep if self.kind == "vector" else self._vec_from_index(rep)
         return [self.subfield.rep_to_nested(c) for c in vec]
 
     def rep_from_nested(self, data):
@@ -346,14 +332,7 @@ class FieldCtx:
         if e < 0:
             rep = self.inv(rep)
             e = -e
-        result = self.one_rep
-        base = rep
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return _power(self.mul, self.one_rep, rep, e)
 
     def iter_reps(self) -> Iterator:
         if self.kind == "vector":
@@ -363,7 +342,7 @@ class FieldCtx:
     def rep_to_str(self, rep) -> str:
         if self.kind == "prime":
             return str(rep)
-        vec = self._vecs[rep] if self.kind == "tabulated" else rep
+        vec = rep if self.kind == "vector" else self._vec_from_index(rep)
         return format_terms(self.subfield, vec, _var_name(len(self.degrees)))
 
     # -- public API ---------------------------------------------------------
@@ -424,6 +403,98 @@ class FieldCtx:
 _CTX_TOKEN = object()
 
 
+def _power(mul, one, base, e: int):
+    """base**e for e >= 0 by square-and-multiply with the given mul."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        e >>= 1
+    return result
+
+
+def _packed(values: list) -> array:
+    """The values in an array of the smallest integer typecode that holds them."""
+    for code in "bBhH":
+        with suppress(OverflowError):
+            return array(code, values)
+    return array("l", values)
+
+
+def _install_log_ops(ctx: FieldCtx, vec_mul) -> None:
+    """Give a tabulated level its index-rep ops, from exp/log/Zech arrays.
+
+    g is the first primitive element in the canonical scan.  exp[k] = g**k
+    for 0 <= k < 2(Q-1), so a sum of two logs needs no modulo; Zech[k] is
+    log(1 + g**k), or -1 when that sum is zero (Huber 1990), so
+    a + b = a * (1 + b/a) = exp[log a + Zech[log b - log a]], where a
+    negative difference indexes from the end, i.e. modulo Q - 1.
+    """
+    Q, sub, one = ctx.cardinality, ctx.subfield, ctx._vec_one
+    vec_to_index, vec_from_index = ctx._vec_to_index, ctx._vec_from_index
+    n1 = Q - 1
+    cofactors = [n1 // r for r in nt.factorint(n1)]
+    for g in map(vec_from_index, range(1, Q)):
+        if all(_power(vec_mul, one, g, e) != one for e in cofactors):
+            break
+    powers, x = [], one
+    for _ in range(n1):
+        powers.append(vec_to_index(x))
+        x = vec_mul(x, g)
+    logs = [0] * Q
+    for k, i in enumerate(powers):
+        logs[i] = k
+    S, sadd = sub.cardinality, sub.add
+    # 1 + x differs from x only in digit 0, so it is one sublevel add.
+    one_plus = [i - i % S + sadd(1, i % S) for i in powers]
+    zech = _packed([logs[j] if j else -1 for j in one_plus])
+    exp, log = _packed(powers * 2), _packed(logs)
+    half = n1 // 2
+
+    def mul(a, b):
+        return exp[log[a] + log[b]] if a and b else 0
+
+    def add(a, b):
+        if not (a and b):
+            return a or b
+        la = log[a]
+        z = zech[log[b] - la]
+        return exp[la + z] if z >= 0 else 0
+
+    if ctx.p == 2:  # -1 = 1
+
+        def neg(a):
+            return a
+
+    else:
+
+        def neg(a):
+            return exp[log[a] + half] if a else 0
+
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return exp[n1 - log[a]]
+
+    if Q <= SQUARE_TABLE_LIMIT:
+        add_t = [[add(a, b) for b in range(Q)] for a in range(Q)]
+        mul_t = [[mul(a, b) for b in range(Q)] for a in range(Q)]
+        neg_t = [neg(a) for a in range(Q)]
+        ctx._add_t, ctx._mul_t = add_t, mul_t
+        ctx.add = lambda a, b: add_t[a][b]
+        ctx.sub = lambda a, b: add_t[a][neg_t[b]]
+        ctx.neg = lambda a: neg_t[a]
+        ctx.mul = lambda a, b: mul_t[a][b]
+    else:
+        ctx.add, ctx.neg, ctx.mul = add, neg, mul
+        ctx.sub = lambda a, b: add(a, neg(b))
+    ctx.inv = inv
+    # Scaling by an embedded sublevel element is plain multiplication
+    # because sub indices embed as identical indices here.
+    ctx.scale = ctx.mul
+
+
 def _vector_ops(sub: FieldCtx, d: int, red: tuple):
     """Specialized add/neg/mul/scale closures for a degree-d vector level."""
     szero = sub.zero_rep
@@ -464,7 +535,7 @@ def _vector_ops(sub: FieldCtx, d: int, red: tuple):
 
         return add, neg, mul, scale
 
-    if sub.kind == "tabulated":
+    if sub.kind == "tabulated" and sub.cardinality <= SQUARE_TABLE_LIMIT:
         add_t, mul_t = sub._add_t, sub._mul_t
         neg_s = sub.neg
 

@@ -14,6 +14,8 @@ of least degree: the generator.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement, product
+
 from .codes import ConstaCode, PatternPoly
 from .numbertheory import divisors
 from .poly import Poly, _schur_reps
@@ -80,10 +82,11 @@ def oracle_schur_product(c1: ConstaCode, c2: ConstaCode) -> tuple[int, Poly]:
     """(dim, monic generator) of the componentwise product span.
 
     Forms all distinct pairwise Schur products of the two shift bases in
-    descending-degree coordinates and row reduces them once.  The span
-    is checked to be closed under the lam1*lam2 constacyclic shift; that
-    closure makes it an ideal, whose monic element of least degree (the
-    last echelon row) is its generator.
+    descending-degree coordinates (each unordered pair once when the bases
+    are equal) and row reduces them once.  The span is checked to be closed
+    under the lam1*lam2 constacyclic shift; that closure makes it an ideal,
+    whose monic element of least degree (the last echelon row) is its
+    generator.
     """
     p1, p2 = c1.params, c2.params
     if p1.field is not p2.field or p1.n != p2.n:
@@ -93,7 +96,11 @@ def oracle_schur_product(c1: ConstaCode, c2: ConstaCode) -> tuple[int, Poly]:
     lam3 = p1.lam * p2.lam
     rows1 = [r[::-1] for r in generator_rows(c1)]
     rows2 = [r[::-1] for r in generator_rows(c2)]
-    products = dict.fromkeys(_schur_reps(ctx, a, b) for a in rows1 for b in rows2)
+    # The Schur product commutes, so a square needs each unordered pair once.
+    pairs = (
+        combinations_with_replacement(rows1, 2) if rows1 == rows2 else product(rows1, rows2)
+    )
+    products = dict.fromkeys(_schur_reps(ctx, a, b) for a, b in pairs)
     echelon, pivots = rref(ctx, products)
     lam3_rep = lam3.rep
     for r in echelon:

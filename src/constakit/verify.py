@@ -108,10 +108,9 @@ def _check_single_code(c: cd.ConstaCode, rec: _Recorder, ctxinfo: dict) -> None:
     psupp = c.basis.forward_poly(pat.polynomial()).support()
     rec.record("pattern_support_coset", psupp == coset, info)
 
-    dims, r = cd.dimension_sequence(c)
-    rec.record("fills_iff_nondegenerate", (dims[-1] == n) == pat.is_trivial, info)
-
     report = cd.bounds_report(c)
+    dims, r = report["dims"], report["r"]
+    rec.record("fills_iff_nondegenerate", (dims[-1] == n) == pat.is_trivial, info)
     rec.record("square_fills", report["square_fills"]["holds"], info)
     rec.record("regularity_bound", report["regularity_bound"]["holds"], info)
     # bias bound is evaluated for its guards only; nothing to assert

@@ -13,6 +13,7 @@ from constakit import (
     schur,
 )
 from constakit.cdft import EAGER_POWER_LIMIT, RootBasis
+from constakit.field import SQUARE_TABLE_LIMIT, TABLE_LIMIT
 
 
 def small_int(field, k):
@@ -302,14 +303,33 @@ def test_lazy_delta_powers_round_trip_and_factor():
 @pytest.mark.parametrize("lam", [1, 2])
 def test_transform_over_a_vector_on_vector_splitting_field(lam):
     """Base GF(3^5), n = 4: the splitting field GF(3^10) is a vector level on
-    a vector level, so forward scales through the generic sublevel ops."""
+    a log-table level too large for Q x Q tables, so forward scales through
+    the generic sublevel ops."""
     field = build_field(3, [5])
     basis = build_basis(CodeParams(field, 4, field.elem(lam)))
     spl = basis.splitting
-    assert spl.degrees == (5, 2) and spl.subfield.kind == "vector"
+    assert spl.degrees == (5, 2) and spl.kind == "vector"
+    assert spl.subfield.kind == "tabulated" and spl.subfield.cardinality > SQUARE_TABLE_LIMIT
     rng = random.Random(lam)
     for _ in range(3):
         a = [field.elem(rng.randrange(243)) for _ in range(4)]
+        spec = basis.forward(a)
+        assert spec.is_rational()
+        assert spec.values == basis.forward_extended([x.lift(spl) for x in a]).values
+        assert list(spec.inverse()) == [x.lift(spl) for x in a]
+
+
+def test_transform_over_a_splitting_field_on_a_vector_base():
+    """Base GF(67^2), above TABLE_LIMIT, n = 5, lambda = -1: the splitting
+    field GF(67^4) is a vector level whose sublevel is a vector level too."""
+    field = build_field(67, [2])
+    basis = build_basis(CodeParams(field, 5, -field.one()))
+    spl = basis.splitting
+    assert field.cardinality > TABLE_LIMIT
+    assert spl.degrees == (2, 2) and spl.kind == spl.subfield.kind == "vector"
+    rng = random.Random(5)
+    for _ in range(2):
+        a = [field.elem(rng.randrange(field.cardinality)) for _ in range(5)]
         spec = basis.forward(a)
         assert spec.is_rational()
         assert spec.values == basis.forward_extended([x.lift(spl) for x in a]).values

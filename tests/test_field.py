@@ -3,7 +3,7 @@ import random
 import pytest
 
 from constakit import build_field, elem_order, find_element_of_order
-from constakit.field import FieldElem
+from constakit.field import SQUARE_TABLE_LIMIT, TABLE_LIMIT, FieldElem, _vector_ops
 
 
 def field_axioms(field, sample):
@@ -38,12 +38,15 @@ def test_axioms_sampled_tower():
     field_axioms(field, sample)
 
 
-@pytest.mark.parametrize("p,degrees", [(2, [8, 2]), (3, [5, 2])])
+@pytest.mark.parametrize("p,degrees", [(2, [8, 2]), (3, [5, 2]), (67, [2, 2])])
 def test_axioms_vector_on_vector(p, degrees):
-    """GF(2^16) over GF(2^8) and GF(3^10) over GF(3^5) run the generic
-    vector ops, whose sublevel is itself a vector level."""
+    """Vector levels whose sublevel is too large for Q x Q tables run the
+    generic vector ops: GF(2^16) over GF(2^8) and GF(3^10) over GF(3^5) sit
+    on log-table levels, GF(67^4) over GF(67^2) on a vector level."""
     field = build_field(p, degrees)
-    assert field.kind == field.subfield.kind == "vector"
+    sub = field.subfield
+    assert field.kind == "vector" and sub.cardinality > SQUARE_TABLE_LIMIT
+    assert sub.kind == ("vector" if sub.cardinality > TABLE_LIMIT else "tabulated")
     rng = random.Random(p)
     sample = [field.elem(rng.randrange(1, field.cardinality)) for _ in range(9)]
     field_axioms(field, sample + [field.zero()])
@@ -55,6 +58,43 @@ def test_axioms_vector_on_vector(p, degrees):
     for a in sample:
         s = sub.elem(rng.randrange(sub.cardinality))
         assert FieldElem(field, field.scale(a.rep, s.rep)) == a * s.lift(field)
+
+
+@pytest.mark.parametrize("p,degrees", [(2, [10]), (3, [6]), (5, [4]), (3, [2, 3])])
+def test_log_table_ops_match_the_vector_ops(p, degrees):
+    """Every op of a log-table level (characteristic 2, odd characteristic,
+    and GF(9)^3 over a Q x Q tabulated sublevel) agrees with the schoolbook
+    vector ops of the same level, on seeded pairs plus 0, 1 and -1."""
+    field = build_field(p, degrees)
+    sub, d = field.subfield, field.step_degree
+    assert field.kind == "tabulated" and field.cardinality > SQUARE_TABLE_LIMIT
+    vadd, vneg, vmul, vscale = _vector_ops(sub, d, field._red)
+    vec, idx = field._vec_from_index, field._vec_to_index
+    minus_one = idx(vneg(field._vec_one))
+    rng = random.Random(field.cardinality)
+    picks = [0, 1, minus_one] + [rng.randrange(field.cardinality) for _ in range(40)]
+    for a in picks:
+        assert field.neg(a) == idx(vneg(vec(a)))
+        if a:
+            assert vmul(vec(a), vec(field.inv(a))) == field._vec_one
+        s = a % sub.cardinality
+        b = picks[rng.randrange(len(picks))]
+        assert field.scale(b, s) == idx(vscale(vec(b), s))
+        for b in picks[:3] + [picks[rng.randrange(len(picks))] for _ in range(8)]:
+            assert field.add(a, b) == idx(vadd(vec(a), vec(b)))
+            assert field.sub(a, b) == idx(vadd(vec(a), vneg(vec(b))))
+            assert field.mul(a, b) == idx(vmul(vec(a), vec(b)))
+
+
+@pytest.mark.parametrize("p,degrees,kind", [
+    (5, [], "prime"), (3, [2], "tabulated"), (3, [6], "tabulated"), (3, [8], "vector")])
+def test_inverse_of_zero_raises_at_every_kind(p, degrees, kind):
+    field = build_field(p, degrees)
+    assert field.kind == kind
+    with pytest.raises(ZeroDivisionError):
+        field.inv(field.zero_rep)
+    with pytest.raises(ZeroDivisionError):
+        field.one() / field.zero()
 
 
 def test_build_field_caches_prefixes():

@@ -13,6 +13,7 @@ from constakit import (
 )
 from constakit.codes import _xn_minus_lam, basis_family
 from constakit.oracle import generator_rows, rref, span_contains
+from constakit.poly import _schur_reps
 
 
 def test_rref_pinned_example(f3):
@@ -66,6 +67,30 @@ def test_oracle_square_hamming(hamming_example):
     dim, gen = oracle_schur_product(hamming_example, hamming_example)
     assert dim == 7
     assert gen == Poly.one(hamming_example.params.field)
+
+
+def _ordered_pair_square(c):
+    """(dim, generator) of c's square from all k*k ordered pairs of shifts."""
+    ctx = c.params.field
+    rows = [r[::-1] for r in generator_rows(c)]
+    echelon, _ = rref(ctx, dict.fromkeys(_schur_reps(ctx, a, b) for a in rows for b in rows))
+    return len(echelon), Poly(ctx, echelon[-1][::-1])
+
+
+def test_oracle_square_forms_each_unordered_pair_once(
+    f3, f4, negacyclic_example, hamming_example, degenerate_example
+):
+    """A square reads only the unordered pairs; the reduced echelon form of
+    the span, and so the result, equals the one from every ordered pair.
+    The repetition code has k = 1, so its square is the lone pair (g, g)."""
+    repetition = code_from_generator(CodeParams(f3, 4, f3.one()), Poly(f3, [1, 1, 1, 1]))
+    fam = basis_family(f4, 5)
+    over_f4 = code_from_generator(
+        CodeParams(f4, 5, f4.one()), fam.basis_for_lambda(f4.one()).irreducible_factors()[1]
+    )
+    for c in (negacyclic_example, hamming_example, degenerate_example, repetition, over_f4):
+        assert oracle_schur_product(c, c) == _ordered_pair_square(c)
+    assert oracle_schur_product(repetition, repetition) == (1, repetition.generator)
 
 
 def test_oracle_zero_factor(f3):
