@@ -15,7 +15,8 @@ upward; polynomials of fixed degree are ordered the same way by their
 non-leading coefficients.
 
 Representations.  Internally an element of a level is
-  * an int residue, at the prime level;
+  * an int residue, at the prime level, which also keeps Q x Q add/mul
+    tables for the level above when p <= SQUARE_TABLE_LIMIT;
   * an int canonical index, at levels of at most TABLE_LIMIT (4096)
     elements, with arithmetic on exp/log/Zech arrays of O(Q) entries;
     levels of at most SQUARE_TABLE_LIMIT (128) elements derive full
@@ -41,8 +42,8 @@ from .poly import Poly, format_terms, poly_gcd, poly_xgcd, pow_mod
 #: representation, with O(Q) exp/log/Zech arrays behind the arithmetic.
 TABLE_LIMIT = 4096
 
-#: Tabulated levels this small also keep full Q x Q add/mul tables, which
-#: are cheaper per op and which the vector ops of the level above read.
+#: Prime and tabulated levels this small keep full Q x Q add/mul tables,
+#: which the level above reads and a tabulated level also computes with.
 SQUARE_TABLE_LIMIT = 128
 
 #: find_element_of_order walks the canonical scan only in fields up to this
@@ -204,6 +205,9 @@ class FieldCtx:
         ctx.mul = mul
         ctx.inv = inv
         ctx.scale = mul  # sublevel of the prime level is itself
+        if p <= SQUARE_TABLE_LIMIT:
+            ctx._add_t = [[ctx.add(a, b) for b in range(p)] for a in range(p)]
+            ctx._mul_t = [[mul(a, b) for b in range(p)] for a in range(p)]
         ctx._unit_factors = None
         return ctx
 
@@ -496,46 +500,12 @@ def _install_log_ops(ctx: FieldCtx, vec_mul) -> None:
 
 
 def _vector_ops(sub: FieldCtx, d: int, red: tuple):
-    """Specialized add/neg/mul/scale closures for a degree-d vector level."""
-    szero = sub.zero_rep
+    """Add/neg/mul/scale closures for a degree-d vector level over sub.
 
-    if sub.kind == "prime":
-        p = sub.p
-
-        def add(a, b):
-            return tuple((x + y) % p for x, y in zip(a, b))
-
-        def neg(a):
-            return tuple((-x) % p for x in a)
-
-        def mul(a, b):
-            conv = [0] * (2 * d - 1)
-            for i in range(d):
-                ai = a[i]
-                if ai:
-                    for j in range(d):
-                        bj = b[j]
-                        if bj:
-                            conv[i + j] += ai * bj
-            res = conv[:d]
-            for i in range(d - 1):
-                c = conv[d + i]
-                if c:
-                    row = red[i]
-                    for j in range(d):
-                        rj = row[j]
-                        if rj:
-                            res[j] += c * rj
-            return tuple(x % p for x in res)
-
-        def scale(a, s):
-            if not s:
-                return (0,) * d
-            return tuple(x * s % p for x in a)
-
-        return add, neg, mul, scale
-
-    if sub.kind == "tabulated" and sub.cardinality <= SQUARE_TABLE_LIMIT:
+    Sublevels of at most SQUARE_TABLE_LIMIT elements, prime or tabulated,
+    are read through their Q x Q tables; larger ones through their ops.
+    """
+    if sub.cardinality <= SQUARE_TABLE_LIMIT:
         add_t, mul_t = sub._add_t, sub._mul_t
         neg_s = sub.neg
 
@@ -576,7 +546,7 @@ def _vector_ops(sub: FieldCtx, d: int, red: tuple):
 
         return add, neg, mul, scale
 
-    sadd, smul, sneg = sub.add, sub.mul, sub.neg
+    sadd, smul, sneg, szero = sub.add, sub.mul, sub.neg, sub.zero_rep
 
     def add(a, b):
         return tuple(sadd(x, y) for x, y in zip(a, b))
@@ -628,6 +598,8 @@ def _is_irreducible(f: Poly, sub: FieldCtx) -> bool:
     d = f.degree
     if d == 1:
         return True
+    if all(c == sub.zero_rep for i, c in enumerate(f.coeffs) if i % sub.p):
+        return False  # f = g(x**p) is the p-th power of a polynomial
     scannable = sub.cardinality <= ROOT_SCAN_LIMIT
     if scannable:
         if _has_root(f, sub):
@@ -743,7 +715,8 @@ def find_element_of_order(ctx: FieldCtx, e: int) -> FieldElem:
     the canonical scan.  In larger fields the scan is replaced by an
     equally deterministic shortcut: take the first scanned h whose power
     h**((Q-1)/e) has order e (the scan would otherwise visit on the order
-    of (Q-1)/phi(e) elements, which is hopeless at desk scale).
+    of (Q-1)/phi(e) elements, which is hopeless at desk scale).  Unless e
+    divides S - 1, h skips the sublevel (size S), whose powers stay in it.
     """
     Q = ctx.cardinality
     if e < 1:
@@ -758,7 +731,8 @@ def find_element_of_order(ctx: FieldCtx, e: int) -> FieldElem:
                 return FieldElem(ctx, rep)
         raise RuntimeError("no element of the requested order; unreachable")
     cofactor = (Q - 1) // e
-    for i in range(1, Q):
+    S = ctx.subfield.cardinality if ctx.subfield else 1
+    for i in range(1 if (S - 1) % e == 0 else S, Q):
         rep = ctx.pow_rep(ctx.rep_from_index(i), cofactor)
         if _order_is(ctx, rep, e, e_factors):
             return FieldElem(ctx, rep)

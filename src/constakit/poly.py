@@ -209,7 +209,8 @@ class Poly:
         ctx = self.ctx
         mul, sub, zero = ctx.mul, ctx.sub, ctx.zero_rep
         db = other.degree
-        inv_lead = ctx.inv(other.coeffs[-1])
+        lead = other.coeffs[-1]
+        inv_lead = lead if lead == ctx.one_rep else ctx.inv(lead)
         rem = list(self.coeffs)
         if len(rem) <= db:
             return Poly.zero(ctx), self

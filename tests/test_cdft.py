@@ -336,6 +336,17 @@ def test_transform_over_a_splitting_field_on_a_vector_base():
         assert list(spec.inverse()) == [x.lift(spl) for x in a]
 
 
+@pytest.mark.parametrize("lam,delta_index", [(1, 39366), (2, 19684)])
+def test_delta_scan_past_the_sublevel(lam, delta_index):
+    """Over GF(3^9), n = 4, the order e (4 or 8) does not divide 3^9 - 1, so
+    the delta scan in GF(3^18) skips the 3^9 sublevel elements; delta is the
+    element the full scan picks."""
+    field = build_field(3, [9])
+    basis = build_basis(CodeParams(field, 4, field.elem(lam)))
+    assert basis.splitting is build_field(3, [9, 2])
+    assert basis.delta.index == delta_index
+
+
 def test_transforms_reject_wrong_context_inputs(f3):
     basis = build_basis(CodeParams(f3, 4, f3.elem(2)))
     spl = basis.splitting

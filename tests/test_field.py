@@ -2,8 +2,16 @@ import random
 
 import pytest
 
-from constakit import build_field, elem_order, find_element_of_order
-from constakit.field import SQUARE_TABLE_LIMIT, TABLE_LIMIT, FieldElem, _vector_ops
+from constakit import Poly, build_field, elem_order, find_element_of_order
+from constakit import field as field_module
+from constakit.field import (
+    ROOT_SCAN_LIMIT,
+    SQUARE_TABLE_LIMIT,
+    TABLE_LIMIT,
+    FieldElem,
+    _is_irreducible,
+    _vector_ops,
+)
 
 
 def field_axioms(field, sample):
@@ -38,11 +46,12 @@ def test_axioms_sampled_tower():
     field_axioms(field, sample)
 
 
-@pytest.mark.parametrize("p,degrees", [(2, [8, 2]), (3, [5, 2]), (67, [2, 2])])
+@pytest.mark.parametrize("p,degrees", [(2, [8, 2]), (3, [5, 2]), (67, [2, 2]), (2, [13, 2])])
 def test_axioms_vector_on_vector(p, degrees):
     """Vector levels whose sublevel is too large for Q x Q tables run the
     generic vector ops: GF(2^16) over GF(2^8) and GF(3^10) over GF(3^5) sit
-    on log-table levels, GF(67^4) over GF(67^2) on a vector level."""
+    on log-table levels, GF(67^4) over GF(67^2) and GF(2^26) over GF(2^13)
+    on vector levels."""
     field = build_field(p, degrees)
     sub = field.subfield
     assert field.kind == "vector" and sub.cardinality > SQUARE_TABLE_LIMIT
@@ -84,6 +93,58 @@ def test_log_table_ops_match_the_vector_ops(p, degrees):
             assert field.add(a, b) == idx(vadd(vec(a), vec(b)))
             assert field.sub(a, b) == idx(vadd(vec(a), vneg(vec(b))))
             assert field.mul(a, b) == idx(vmul(vec(a), vec(b)))
+
+
+@pytest.mark.parametrize("p,degrees,table_kernel", [
+    (3, [8], True), (2, [13], True), (3, [2, 4], True),
+    (4099, [2], False), (2, [8, 2], False), (2, [13, 2], False)])
+def test_vector_kernels_match_polynomial_arithmetic(p, degrees, table_kernel):
+    """Each vector kernel agrees with polynomial arithmetic over the sublevel
+    modulo the level's modulus: the table kernel over prime and tabulated
+    sublevels of at most SQUARE_TABLE_LIMIT elements, the generic kernel
+    over a larger prime, a log-table and a vector sublevel."""
+    field = build_field(p, degrees)
+    sub, d, modulus = field.subfield, field.step_degree, field.modulus
+    assert field.kind == "vector"
+    assert (sub.cardinality <= SQUARE_TABLE_LIMIT) == table_kernel
+
+    def poly(a):
+        return Poly(sub, a)
+
+    def ref(f):
+        return (f % modulus).padded(d)
+
+    minus_one = (sub.neg(sub.one_rep),) + (sub.zero_rep,) * (d - 1)
+    rng = random.Random(field.cardinality)
+    picks = [field.zero_rep, field.one_rep, minus_one]
+    picks += [field.rep_from_index(rng.randrange(field.cardinality)) for _ in range(16)]
+    for a in picks:
+        assert field.neg(a) == ref(-poly(a))
+        s = sub.rep_from_index(rng.randrange(sub.cardinality))
+        assert field.scale(a, s) == ref(poly(a) * Poly(sub, [s]))
+        if a != field.zero_rep:
+            assert ref(poly(a) * poly(field.inv(a))) == field.one_rep
+        for b in picks[:3] + rng.sample(picks, 5):
+            assert field.add(a, b) == ref(poly(a) + poly(b))
+            assert field.sub(a, b) == ref(poly(a) - poly(b))
+            assert field.mul(a, b) == ref(poly(a) * poly(b))
+
+
+def test_modulus_scan_rejects_pth_powers(monkeypatch):
+    """Every x^2 + c over GF(2^13) is a square, which the scan rejects
+    without the power test; the canonical modulus is x^2 + x + 1."""
+    field = build_field(2, [13, 2])
+    sub = field.subfield
+    one = sub.one_rep
+    assert field.modulus == Poly(sub, [one, one, one])
+
+    def refuse(*args):
+        raise RuntimeError("power test run")
+
+    monkeypatch.setattr(field_module, "pow_mod", refuse)
+    assert sub.cardinality > ROOT_SCAN_LIMIT
+    for c in (0, 1, 5, sub.cardinality - 1):
+        assert not _is_irreducible(Poly(sub, [sub.rep_from_index(c), sub.zero_rep, one]), sub)
 
 
 @pytest.mark.parametrize("p,degrees,kind", [

@@ -85,6 +85,28 @@ def test_divmod_invariant(f3):
         assert r.is_zero or r.degree < b.degree
 
 
+def test_monic_division_needs_no_inverse(monkeypatch):
+    """Dividing by a monic polynomial never inverts its leading coefficient,
+    which at a vector level would cost a polynomial xgcd."""
+    field = build_field(3, [8])
+    assert field.kind == "vector"
+
+    def refuse(a):
+        raise RuntimeError("inverse requested")
+
+    monkeypatch.setattr(field, "inv", refuse)
+    rng = random.Random(8)
+    for _ in range(10):
+        a = rand_poly(field, rng, 7)
+        low = [field.rep_from_index(rng.randrange(field.cardinality)) for _ in range(rng.randrange(4))]
+        b = Poly(field, low + [field.one_rep])
+        q, r = divmod(a, b)
+        assert q * b + r == a
+        assert r.degree < b.degree
+    with pytest.raises(RuntimeError):
+        divmod(a, b.scale(field.rep_from_index(2)))
+
+
 def test_divides_and_monic(f3):
     x = Poly.x(f3)
     p = (x + Poly.one(f3)) * (x * x + Poly.one(f3))
