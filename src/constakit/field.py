@@ -4,7 +4,9 @@ A field context is a chain F_p = L_0 < L_1 < ... < L_k where each step
 L_{i+1} = L_i[y]/(m_i) extends the level below by a monic irreducible
 modulus m_i.  The modulus is not an input: it is always the *first* monic
 irreducible of the requested degree in the canonical ordering, so two runs
-(or two machines) always build identical towers.
+(or two machines) always build identical towers.  Candidates are tested
+with Ben-Or's gcd test, and a level whose scan finds none among the first
+MODULUS_SCAN_BUDGET candidates is refused with ValueError.
 
 Canonical ordering.  Elements of a level correspond to integers: a
 coefficient vector (c_0, ..., c_{d-1}) over a sublevel of size S has index
@@ -51,9 +53,9 @@ SQUARE_TABLE_LIMIT = 128
 #: (the scan would be quadratic in the field size).
 SCAN_LIMIT = 4096
 
-#: Exhaustive root filtering during the modulus scan is only attempted when
-#: the sublevel is at most this large.
-ROOT_SCAN_LIMIT = 4096
+#: The modulus scan refuses a level after this many candidates; towers the
+#: verify grid reaches need at most a few hundred.
+MODULUS_SCAN_BUDGET = 2**17
 
 DEFAULT_MAX_CARDINALITY = 2**64
 
@@ -582,63 +584,47 @@ def _vector_ops(sub: FieldCtx, d: int, red: tuple):
     return add, neg, mul, scale
 
 
-def _has_root(f: Poly, sub: FieldCtx) -> bool:
-    return any(f.eval_rep(r) == sub.zero_rep for r in sub.iter_reps())
-
-
 def _is_irreducible(f: Poly, sub: FieldCtx) -> bool:
-    """Exact irreducibility test for monic f over the sublevel.
+    """Exact irreducibility test for monic f over the sublevel (Ben-Or).
 
-    Degree 1 is always irreducible.  When the sublevel is small enough to
-    scan, a root search settles degrees 2 and 3 outright and screens larger
-    degrees cheaply.  The general case is the classic power test:
-    f (degree d) is irreducible over a field of size S iff x**(S**d) = x
-    mod f and gcd(x**(S**(d/r)) - x, f) = 1 for every prime r dividing d.
+    f (degree d) over a field of size S is irreducible iff
+    gcd(x**(S**i) - x, f) = 1 for every i <= d/2: a reducible f has an
+    irreducible factor of some degree i <= d/2, and that factor divides
+    x**(S**i) - x.  Most reducible f have a small factor, so the loop
+    usually stops at i = 1 or 2.  A polynomial in x**p is the p-th power
+    of a polynomial and is rejected without the loop.
     """
-    d = f.degree
-    if d == 1:
-        return True
     if all(c == sub.zero_rep for i, c in enumerate(f.coeffs) if i % sub.p):
-        return False  # f = g(x**p) is the p-th power of a polynomial
-    scannable = sub.cardinality <= ROOT_SCAN_LIMIT
-    if scannable:
-        if _has_root(f, sub):
-            return False
-        if d <= 3:
-            return True
-    S = sub.cardinality
-    x = Poly.x(sub)
-    checkpoints = {d // r for r in nt.factorint(d)}
-    frob = x
-    powers = {}
-    for k in range(1, d + 1):
-        frob = pow_mod(frob, S, f)
-        if k in checkpoints or k == d:
-            powers[k] = frob
-    if powers[d] != x % f:
         return False
-    for k in checkpoints:
-        if poly_gcd(powers[k] - x, f).degree != 0:
+    frob = x = Poly.x(sub)
+    for _ in range(f.degree // 2):
+        frob = pow_mod(frob, sub.cardinality, f)
+        if poly_gcd(frob - x, f).degree != 0:
             return False
     return True
 
 
 def _first_irreducible(sub: FieldCtx, degree: int) -> Poly:
-    """First monic irreducible of the given degree in canonical order."""
+    """First monic irreducible of the given degree in canonical order.
+
+    Indices below S are the binomials x**d + c; when some prime factor of
+    d does not divide S - 1 none of them is irreducible (Lidl &
+    Niederreiter, Thm 3.75), so the scan starts at S.  The scan tests at
+    most MODULUS_SCAN_BUDGET candidates and raises ValueError after that.
+    """
     if degree < 1:
         raise ValueError("extension degree must be >= 1")
     S = sub.cardinality
-    one = sub.one_rep
-    for idx in range(S**degree):
-        i = idx
-        coeffs = []
-        for _ in range(degree):
-            i, r = divmod(i, S)
-            coeffs.append(sub.rep_from_index(r))
-        f = Poly(sub, coeffs + [one])
+    start = S if any((S - 1) % r for r in nt.factorint(degree)) else 0
+    for idx in range(start, min(S**degree, start + MODULUS_SCAN_BUDGET)):
+        digits = [sub.rep_from_index(idx // S**j % S) for j in range(degree)]
+        f = Poly(sub, digits + [sub.one_rep])
         if _is_irreducible(f, sub):
             return f
-    raise RuntimeError("no irreducible polynomial found; unreachable")
+    raise ValueError(
+        f"no monic irreducible of degree {degree} over {sub!r} among the first "
+        f"{MODULUS_SCAN_BUDGET} candidates of the modulus scan (MODULUS_SCAN_BUDGET)"
+    )
 
 
 _FIELD_CACHE: dict[tuple[int, tuple[int, ...]], FieldCtx] = {}

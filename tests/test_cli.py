@@ -63,6 +63,20 @@ def test_factor_rejects_splitting_field_over_the_cap(capsys):
     assert "exceeds the cap" in doc["error"]
 
 
+def test_factor_refuses_a_splitting_field_past_the_scan_budget(capsys, monkeypatch):
+    """GF(2^10)^6 has no irreducible sextic within the scan budget.  At the
+    real budget the refusal takes about 50 s on two cores, so it is lowered."""
+    from constakit import field
+
+    monkeypatch.setattr(field, "MODULUS_SCAN_BUDGET", 500)
+    rc, doc = run_json(
+        capsys, "factor", "--p", "2", "--degrees", "10", "--n", "13", "--lambda", "1"
+    )
+    assert rc == 2
+    assert "first 500 candidates" in doc["error"]
+    assert "MODULUS_SCAN_BUDGET" in doc["error"]
+
+
 def test_factor_extension_field(capsys):
     rc, doc = run_json(
         capsys, "factor", "--p", "3", "--degrees", "2", "--n", "2", "--lambda", "[0,1]"
@@ -102,6 +116,23 @@ def test_product_single_method(capsys):
     assert rep["method"] == "gcd"
     assert rep["dim"] == 7
     assert rep["generator"] == [1]
+
+
+@pytest.mark.parametrize("method", ["sumset", "gcd"])
+def test_product_spectral_method_runs_without_the_oracle(capsys, monkeypatch, method):
+    def refuse(*args):
+        raise AssertionError("oracle run")
+
+    monkeypatch.setattr("constakit.cli.oracle_schur_product", refuse)
+    rc, doc = run_json(
+        capsys, "product", "--p", "2", "--n", "7", "--lambda", "1",
+        "--generator", "[1,1,0,1]", "--method", method,
+    )
+    assert rc == 0
+    assert doc == {"reports": [
+        {"method": method, "generator": [1], "G": list(range(7)), "dim": 7,
+         "agrees_with_oracle": None},
+    ]}
 
 
 def test_product_two_codes_two_lambdas(capsys):

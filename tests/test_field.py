@@ -1,17 +1,23 @@
+import json
+import pathlib
 import random
+import time
 
 import pytest
 
 from constakit import Poly, build_field, elem_order, find_element_of_order
 from constakit import field as field_module
 from constakit.field import (
-    ROOT_SCAN_LIMIT,
+    _FIELD_CACHE,
     SQUARE_TABLE_LIMIT,
     TABLE_LIMIT,
     FieldElem,
+    _first_irreducible,
     _is_irreducible,
     _vector_ops,
 )
+
+MODULI_GOLDEN = pathlib.Path(__file__).parent / "golden" / "moduli.json"
 
 
 def field_axioms(field, sample):
@@ -132,7 +138,7 @@ def test_vector_kernels_match_polynomial_arithmetic(p, degrees, table_kernel):
 
 def test_modulus_scan_rejects_pth_powers(monkeypatch):
     """Every x^2 + c over GF(2^13) is a square, which the scan rejects
-    without the power test; the canonical modulus is x^2 + x + 1."""
+    without computing a Frobenius power; the canonical modulus is x^2 + x + 1."""
     field = build_field(2, [13, 2])
     sub = field.subfield
     one = sub.one_rep
@@ -142,9 +148,61 @@ def test_modulus_scan_rejects_pth_powers(monkeypatch):
         raise RuntimeError("power test run")
 
     monkeypatch.setattr(field_module, "pow_mod", refuse)
-    assert sub.cardinality > ROOT_SCAN_LIMIT
+    assert sub.cardinality == 2**13
     for c in (0, 1, 5, sub.cardinality - 1):
         assert not _is_irreducible(Poly(sub, [sub.rep_from_index(c), sub.zero_rep, one]), sub)
+
+
+@pytest.mark.parametrize(
+    "tower", json.loads(MODULI_GOLDEN.read_text()), ids=lambda t: f"{t['p']}-{t['degrees']}"
+)
+def test_moduli_match_golden(tower):
+    """Every level's modulus, as captured before the scan used Ben-Or's test."""
+    assert build_field(tower["p"], tower["degrees"]).describe() == tower
+
+
+def test_binomial_skip_keeps_the_gf2_39_modulus(monkeypatch):
+    """3 does not divide 2^13 - 1, so no x^3 + c over GF(2^13) is irreducible;
+    the scan starts at x^3 + x and tests two candidates, not 8,194."""
+    sub = build_field(2, [13])
+    one = sub.one_rep
+    tested = []
+
+    def counted(f, ctx):
+        tested.append(f)
+        return _is_irreducible(f, ctx)
+
+    monkeypatch.setattr(field_module, "_is_irreducible", counted)
+    start = time.perf_counter()
+    modulus = _first_irreducible(sub, 3)
+    assert time.perf_counter() - start < 1.0
+    assert modulus == Poly(sub, [one, one, sub.zero_rep, one])
+    assert len(tested) == 2
+    assert build_field(2, [13, 3]).modulus == modulus
+
+
+def test_modulus_scan_refuses_past_its_budget(monkeypatch):
+    build_field(2, [8])
+    cached = dict(_FIELD_CACHE)
+    monkeypatch.setattr(field_module, "MODULUS_SCAN_BUDGET", 1000)
+    with pytest.raises(ValueError, match="first 1000 candidates.*MODULUS_SCAN_BUDGET"):
+        build_field(2, [8, 4])
+    assert _FIELD_CACHE == cached
+
+
+def test_irreducibility_agrees_with_sympy():
+    """Every monic polynomial of degree 2..5 over F_2, F_3 and F_5, against
+    sympy's Rabin test, which uses no tower."""
+    ZZ = pytest.importorskip("sympy.polys.domains").ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    for p in (2, 3, 5):
+        fp = build_field(p, [])
+        for d in range(2, 6):
+            for idx in range(p**d):
+                low = [idx // p**i % p for i in range(d)]
+                expected = gf_irreducible_p([1] + low[::-1], p, ZZ)
+                assert _is_irreducible(Poly(fp, low + [1]), fp) == expected, (p, low)
 
 
 @pytest.mark.parametrize("p,degrees,kind", [
