@@ -38,7 +38,7 @@ from contextlib import suppress
 from typing import Iterable, Iterator, Sequence
 
 from . import numbertheory as nt
-from .poly import Poly, format_terms, poly_gcd, poly_xgcd, pow_mod
+from .poly import Poly, format_terms, poly_gcd, poly_xgcd, pow_mod, square_and_multiply
 
 #: Levels with at most this many elements use int indices as their
 #: representation, with O(Q) exp/log/Zech arrays behind the arithmetic.
@@ -304,7 +304,7 @@ class FieldCtx:
 
     def rep_from_nested(self, data):
         if self.kind == "prime":
-            if not isinstance(data, int):
+            if type(data) is not int:
                 raise ValueError(f"prime-level coefficient must be int, got {data!r}")
             if not 0 <= data < self.p:
                 raise ValueError(f"residue {data} out of range mod {self.p}")
@@ -338,7 +338,7 @@ class FieldCtx:
         if e < 0:
             rep = self.inv(rep)
             e = -e
-        return _power(self.mul, self.one_rep, rep, e)
+        return square_and_multiply(self.mul, self.one_rep, rep, e)
 
     def iter_reps(self) -> Iterator:
         if self.kind == "vector":
@@ -409,17 +409,6 @@ class FieldCtx:
 _CTX_TOKEN = object()
 
 
-def _power(mul, one, base, e: int):
-    """base**e for e >= 0 by square-and-multiply with the given mul."""
-    result = one
-    while e:
-        if e & 1:
-            result = mul(result, base)
-        base = mul(base, base)
-        e >>= 1
-    return result
-
-
 def _packed(values: list) -> array:
     """The values in an array of the smallest integer typecode that holds them."""
     for code in "bBhH":
@@ -442,7 +431,7 @@ def _install_log_ops(ctx: FieldCtx, vec_mul) -> None:
     n1 = Q - 1
     cofactors = [n1 // r for r in nt.factorint(n1)]
     for g in map(vec_from_index, range(1, Q)):
-        if all(_power(vec_mul, one, g, e) != one for e in cofactors):
+        if all(square_and_multiply(vec_mul, one, g, e) != one for e in cofactors):
             break
     powers, x = [], one
     for _ in range(n1):

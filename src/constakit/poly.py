@@ -339,20 +339,26 @@ def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     return r0.scale(lead_inv), u0.scale(lead_inv), v0.scale(lead_inv)
 
 
+def square_and_multiply(mul, one, base, e: int):
+    """base**e for e >= 0 with the given mul, from the top bit of e down:
+    one squaring per bit past the top one, one product more per set bit."""
+    if not e:
+        return one
+    result = base
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, base)
+    return result
+
+
 def pow_mod(a: Poly, e: int, modulus: Poly) -> Poly:
     """a**e mod modulus by square-and-multiply; e must be >= 0."""
     if e < 0:
         raise ValueError("exponent must be >= 0")
     if modulus.degree < 1:
         raise ValueError("modulus must have degree >= 1")
-    result = Poly.one(a.ctx) % modulus
-    base = a % modulus
-    while e:
-        if e & 1:
-            result = (result * base) % modulus
-        base = (base * base) % modulus
-        e >>= 1
-    return result
+    return square_and_multiply(lambda u, v: (u * v) % modulus, Poly.one(a.ctx), a % modulus, e)
 
 
 def reciprocal(a: Poly) -> Poly:

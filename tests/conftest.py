@@ -1,3 +1,6 @@
+import os
+import pathlib
+
 import pytest
 
 from constakit import (
@@ -5,6 +8,15 @@ from constakit import (
     build_field,
     code_from_generator,
 )
+
+
+@pytest.fixture(scope="session")
+def cli_env():
+    """Environment for a `python -m constakit.cli` subprocess, with src/ on
+    its import path, so it runs from a checkout without an install."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
 
 
 @pytest.fixture(scope="session")

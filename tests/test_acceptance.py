@@ -268,14 +268,15 @@ def test_criterion_8_reversal_identity():
     )
 
 
-def test_criterion_9_cli_verify_exit_codes():
+def test_criterion_9_cli_verify_exit_codes(cli_env):
     base = [sys.executable, "-m", "constakit.cli", "verify"]
-    good = subprocess.run(base, capture_output=True, text=True)
+    good = subprocess.run(base, capture_output=True, text=True, env=cli_env)
     good_doc = json.loads(good.stdout)
     bad = subprocess.run(
         base + ["--grid-q", "[2,3]", "--grid-n", "5", "--inject-corruption"],
         capture_output=True,
         text=True,
+        env=cli_env,
     )
     bad_doc = json.loads(bad.stdout)
     ok = (

@@ -135,6 +135,33 @@ def test_product_spectral_method_runs_without_the_oracle(capsys, monkeypatch, me
     ]}
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_product_disagreement_exits_1(capsys, monkeypatch, fmt):
+    """A valid but wrong oracle answer for the Hamming square: the [7,4]
+    code itself, where the spectral methods give the whole space."""
+    from constakit import Poly
+
+    def wrong(c1, c2):
+        return 4, Poly.from_indices(c1.params.field, [1, 1, 0, 1])
+
+    monkeypatch.setattr("constakit.cli.oracle_schur_product", wrong)
+    rc, out = run_cli(
+        capsys, "product", "--p", "2", "--n", "7", "--lambda", "1",
+        "--generator", "[1,1,0,1]", "--method", "all", "--format", fmt,
+    )
+    assert rc == 1
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["agree"] is False
+        assert [r["agrees_with_oracle"] for r in doc["reports"]] == [False, False, True]
+    elif fmt == "csv":
+        assert [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]] == [
+            "False", "False", "True",
+        ]
+    else:
+        assert out.splitlines()[-1] == "agree: False"
+
+
 def test_product_two_codes_two_lambdas(capsys):
     rc, doc = run_json(
         capsys, "product", "--p", "5", "--n", "4",
@@ -308,11 +335,43 @@ def test_verify_text_format(capsys):
     assert "failures=0" in out
 
 
-def test_console_entry_point():
+def test_console_entry_point(cli_env):
     proc = subprocess.run(
         [sys.executable, "-m", "constakit.cli", "factor", "--p", "3", "--n", "4", "--lambda", "2"],
         capture_output=True,
         text=True,
+        env=cli_env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["basis"]["t"] == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--grid-n", "true"], "argument --grid-n: invalid int value: 'true'"),
+    (["factor", "--p", "3"], "the following arguments are required: --n, --lambda"),
+    (["factor", "--p", "3", "--n", "4", "--lambda", "2", "--format", "xml"],
+     "argument --format: invalid choice: 'xml'"),
+    ([], "the following arguments are required: command"),
+], ids=["grid-n-type", "missing-args", "format-choice", "no-command"])
+def test_argument_errors_are_json(capsys, argv, message):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert message in json.loads(captured.out)["error"]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["factor", "--p", "3", "--degrees", "2", "--n", "2", "--lambda", "[true,1]"],
+     "prime-level coefficient must be int, got True"),
+    (["factor", "--p", "3", "--degrees", "[true]", "--n", "2", "--lambda", "1"],
+     "--degrees: expected positive integers, got '[true]'"),
+    (["powers", "--p", "3", "--n", "2", "--lambda", "1", "--gen-set", "[true]"],
+     "--gen-set: expected residues mod n, got '[true]'"),
+    (["verify", "--grid-q", "[2,true]", "--grid-n", "3"],
+     "--grid-q: expected prime powers, got '[2,true]'"),
+], ids=["lambda", "degrees", "gen-set", "grid-q"])
+def test_booleans_are_not_integers(capsys, argv, message):
+    rc, doc = run_json(capsys, *argv)
+    assert rc == 2
+    assert doc == {"error": message}

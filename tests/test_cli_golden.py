@@ -1,7 +1,8 @@
 """Byte-for-byte CLI output, pinned against committed golden files.
 
-Each spec is a `constakit` argument list; its expected stdout lives in
-tests/golden/<name>.  To re-capture after an intended output change, run
+Each spec is a `constakit` argument list and its exit code; its expected
+stdout lives in tests/golden/<name>.  Bad input is pinned too: exit 2 with
+a JSON error object.  To re-capture after an intended output change, run
 `PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
 """
 
@@ -24,26 +25,42 @@ _FACTOR_PAREN = ["factor", "--p", "3", "--degrees", "2", "--n", "5", "--lambda",
 _PRODUCT = ["product", "--p", "2", "--n", "7", "--lambda", "1",
             "--generator", "[1,1,0,1]", "--method", "all"]
 _POWERS = ["powers", "--p", "3", "--n", "4", "--lambda", "2", "--generator", "[2,1,1]"]
+_POWERS_GEN_SET = ["powers", "--p", "2", "--n", "7", "--lambda", "1", "--gen-set", "[0,3,5,6]"]
 _VERIFY_README = ["verify", "--grid-q", "[2,3]", "--grid-n", "6"]
 _VERIFY_TABULATED = ["verify", "--grid-q", "[8,9]", "--grid-n", "5"]
 
 SPECS = {
-    "factor_q3_n4_lam2.json": _FACTOR_README,
-    "factor_q2_n15_lam1.json": _FACTOR_BINARY,
-    "factor_q2_n15_lam1.csv": _FACTOR_BINARY + ["--format", "csv"],
-    "factor_q9_n16_lam11.json": _FACTOR_VECTOR,
-    "factor_q9_n16_lam11.txt": _FACTOR_VECTOR + ["--format", "text"],
-    "factor_q4099_n2_lam2.json": _FACTOR_LAZY,
-    "factor_q9_n5_lam1.txt": _FACTOR_PAREN + ["--format", "text"],
-    "product_q2_n7_hamming.json": _PRODUCT,
-    "product_q2_n7_hamming.txt": _PRODUCT + ["--format", "text"],
-    "powers_q3_n4_lam2.json": _POWERS,
-    "powers_q3_n4_lam2.csv": _POWERS + ["--format", "csv"],
-    "powers_q3_n4_lam2.txt": _POWERS + ["--format", "text"],
-    "verify_q2_q3_n6.json": _VERIFY_README,
-    "verify_q8_q9_n5.json": _VERIFY_TABULATED,
-    "verify_q8_q9_n5.csv": _VERIFY_TABULATED + ["--format", "csv"],
-    "verify_q8_q9_n5.txt": _VERIFY_TABULATED + ["--format", "text"],
+    "factor_q3_n4_lam2.json": (_FACTOR_README, 0),
+    "factor_q2_n15_lam1.json": (_FACTOR_BINARY, 0),
+    "factor_q2_n15_lam1.csv": (_FACTOR_BINARY + ["--format", "csv"], 0),
+    "factor_q9_n16_lam11.json": (_FACTOR_VECTOR, 0),
+    "factor_q9_n16_lam11.txt": (_FACTOR_VECTOR + ["--format", "text"], 0),
+    "factor_q4099_n2_lam2.json": (_FACTOR_LAZY, 0),
+    "factor_q9_n5_lam1.txt": (_FACTOR_PAREN + ["--format", "text"], 0),
+    "product_q2_n7_hamming.json": (_PRODUCT, 0),
+    "product_q2_n7_hamming.txt": (_PRODUCT + ["--format", "text"], 0),
+    "powers_q3_n4_lam2.json": (_POWERS, 0),
+    "powers_q3_n4_lam2.csv": (_POWERS + ["--format", "csv"], 0),
+    "powers_q3_n4_lam2.txt": (_POWERS + ["--format", "text"], 0),
+    "verify_q2_q3_n6.json": (_VERIFY_README, 0),
+    "verify_q8_q9_n5.json": (_VERIFY_TABULATED, 0),
+    "verify_q8_q9_n5.csv": (_VERIFY_TABULATED + ["--format", "csv"], 0),
+    "verify_q8_q9_n5.txt": (_VERIFY_TABULATED + ["--format", "text"], 0),
+    "product_q2_n7_hamming.csv": (_PRODUCT + ["--format", "csv"], 0),
+    "powers_q2_n7_gen_set.json": (_POWERS_GEN_SET, 0),
+    "error_factor_p4.json": (["factor", "--p", "4", "--n", "3", "--lambda", "1"], 2),
+    "error_factor_degrees0.json": (
+        ["factor", "--p", "3", "--degrees", "[0]", "--n", "4", "--lambda", "2"], 2),
+    "error_factor_lambda0.json": (["factor", "--p", "3", "--n", "4", "--lambda", "0"], 2),
+    "error_factor_lambda_json.json": (["factor", "--p", "3", "--n", "4", "--lambda", "{"], 2),
+    "error_factor_lambda_residue.json": (
+        ["factor", "--p", "3", "--degrees", "2", "--n", "4", "--lambda", "[1,5]"], 2),
+    "error_factor_q2_n67.json": (["factor", "--p", "2", "--n", "67", "--lambda", "1"], 2),
+    "error_product_not_divisor.json": (
+        ["product", "--p", "3", "--n", "4", "--lambda", "2", "--generator", "[1,1]"], 2),
+    "error_powers_zero_code.json": (
+        ["powers", "--p", "2", "--n", "3", "--lambda", "1", "--generator", "[1,0,0,1]"], 2),
+    "error_verify_q6.json": (["verify", "--grid-q", "[6]", "--grid-n", "4"], 2),
 }
 
 
@@ -56,15 +73,16 @@ def _run(argv) -> tuple[int, bytes]:
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_cli_output_matches_golden(name):
-    rc, out = _run(SPECS[name])
-    assert rc == 0
+    argv, expected_rc = SPECS[name]
+    rc, out = _run(argv)
+    assert rc == expected_rc
     assert out == (GOLDEN / name).read_bytes()
 
 
 if __name__ == "__main__":
-    for name, argv in sorted(SPECS.items()):
+    for name, (argv, expected_rc) in sorted(SPECS.items()):
         rc, out = _run(argv)
-        if rc != 0:
-            sys.exit(f"{name}: exit {rc}")
+        if rc != expected_rc:
+            sys.exit(f"{name}: exit {rc}, expected {expected_rc}")
         (GOLDEN / name).write_bytes(out)
         print(f"wrote {name}")

@@ -315,6 +315,8 @@ def test_elem_rejects_foreign_and_junk():
         f4.elem(4)
     with pytest.raises(ValueError):
         f4.elem([1])  # wrong coefficient count
+    with pytest.raises(ValueError):
+        f4.elem([True, 0])  # a bool is not a residue
 
 
 def test_str_forms():

@@ -158,6 +158,34 @@ def test_pow_mod(f3):
     assert pow_mod(x, 81, modulus) == pow_mod(x, 81 % 4, modulus)
 
 
+def test_pow_mod_matches_repeated_multiplication(f3, f9):
+    from constakit.poly import pow_mod
+
+    modulus = Poly(f3, [1, 2, 0, 1, 1])
+    a = Poly(f3, [2, 1, 0, 2, 1, 1])  # degree above the modulus's
+    power = Poly.one(f3)
+    g = f9.elem([1, 1])
+    elem_power = f9.one()
+    for e in range(71):
+        assert pow_mod(a, e, modulus) == power % modulus
+        assert g**e == elem_power
+        power, elem_power = power * a, elem_power * g
+
+
+@pytest.mark.parametrize("e, products", [(0, 0), (1, 0), (2, 1), (3, 2), (1024, 10), (1023, 18)])
+def test_square_and_multiply_product_count(e, products):
+    from constakit.poly import square_and_multiply
+
+    calls = []
+
+    def mul(u, v):
+        calls.append(None)
+        return u * v
+
+    assert square_and_multiply(mul, 1, 3, e) == 3**e
+    assert len(calls) == products
+
+
 def test_reciprocal(f3):
     p = Poly(f3, [2, 1, 1])
     r = reciprocal(p)
