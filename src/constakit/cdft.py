@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as datafield
+from functools import cached_property
 from typing import Sequence
 
 from .field import FieldCtx, FieldElem, elem_order, find_element_of_order
@@ -38,7 +39,7 @@ class CodeParams:
 
     Equality and hashing look only at the triple itself; the derived
     orders are cached on construction because everything downstream
-    needs them.
+    needs them, and x^n - lam on first use.
     """
 
     field: FieldCtx
@@ -72,6 +73,10 @@ class CodeParams:
     def q(self) -> int:
         return self.field.cardinality
 
+    @cached_property
+    def xn_minus_lam(self) -> Poly:
+        return Poly.monomial(self.field, self.n) - Poly.from_elements([self.lam])
+
     def __repr__(self) -> str:
         return f"CodeParams(q={self.q}, n={self.n}, lam={self.lam!r})"
 
@@ -99,6 +104,7 @@ class RootBasis:
         "_dpow_rep",
         "_dpow_cache",
         "_point_exp",
+        "_factors",
     )
 
     def __init__(
@@ -153,6 +159,7 @@ class RootBasis:
             raise ValueError("no frobenius shift; beta^(q-1) escaped <xi>")
 
         self._point_exp = tuple((xi_exp * j + beta_exp) % e for j in range(n))
+        self._factors = None
 
     @property
     def n(self) -> int:
@@ -308,10 +315,17 @@ class RootBasis:
         return Poly.from_elements(coeffs) if coeffs else Poly.zero(base)
 
     def irreducible_factors(self) -> tuple[Poly, ...]:
-        """Monic irreducible factors of x^n - lam over the base, one per orbit."""
-        return tuple(
-            self.poly_to_base(self.linear_factor_product(orb)) for orb in self.orbits()
-        )
+        """Monic irreducible factors of x^n - lam over the base, one per orbit.
+
+        The factor of an orbit is the product of x - xi^k * beta over its
+        indices k, projected down.  It is computed on the first call and
+        kept on the basis, so code generators are assembled from it.
+        """
+        if self._factors is None:
+            self._factors = tuple(
+                self.poly_to_base(self.linear_factor_product(orb)) for orb in self.orbits()
+            )
+        return self._factors
 
     def __repr__(self) -> str:
         return (

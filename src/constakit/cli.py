@@ -9,7 +9,8 @@ Each command is one function that returns a `Report` holding all three
 renderings (the JSON document, the CSV header and rows, the text lines);
 `main` writes the one `--format` names.  Exit codes: 0 success, 1 a
 verification failed, 2 bad input.  Every `ValueError` is bad input,
-argument errors included: it is printed as a JSON error object.
+argument errors included, and so is an `--out` path that cannot be
+written: each is printed as a JSON error object.
 """
 
 from __future__ import annotations
@@ -354,25 +355,24 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         report = args.run(args)
-    except ValueError as exc:
+        if args.format == "json":
+            rendered = _render_json(report.doc)
+        elif args.format == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(report.header)
+            writer.writerows(report.rows)
+            rendered = buf.getvalue()
+        else:
+            rendered = "\n".join(report.lines) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(rendered)
+    except (ValueError, OSError) as exc:
         sys.stdout.write(_render_json({"error": str(exc)}))
         return 2
 
-    if args.format == "json":
-        rendered = _render_json(report.doc)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(report.header)
-        writer.writerows(report.rows)
-        rendered = buf.getvalue()
-    else:
-        rendered = "\n".join(report.lines) + "\n"
-
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered)
-    else:
+    if not args.out:
         sys.stdout.write(rendered)
     return report.status
 

@@ -35,10 +35,6 @@ def basis_family(field: FieldCtx, n: int) -> BasisFamily:
     return fam
 
 
-def _xn_minus_lam(params: CodeParams) -> Poly:
-    return Poly.monomial(params.field, params.n) - Poly.from_elements([params.lam])
-
-
 class ConstaCode:
     """An immutable constacyclic code, identified by (params, generator)."""
 
@@ -85,7 +81,7 @@ def code_from_generator(
         raise ValueError("generator is over the wrong field")
     if not g.is_monic:
         raise ValueError("generator must be monic")
-    if not g.divides(_xn_minus_lam(params)):
+    if not g.divides(params.xn_minus_lam):
         lam = params.field.rep_to_str(params.lam.rep)
         raise ValueError(f"{g!r} does not divide x^{params.n} - ({lam})")
     if basis is None:
@@ -108,6 +104,8 @@ def code_from_generating_set(
 
     The complement must be closed under j -> q*j + t; otherwise no code
     over F_q has this generating set and the offending index is named.
+    The complement is then a union of orbits, and the generator is the
+    product of their irreducible factors, which the basis caches.
     """
     if basis is None:
         basis = basis_family(params.field, params.n).basis_for_lambda(params.lam)
@@ -126,7 +124,10 @@ def code_from_generating_set(
                 f"no such code: complement element {j} maps to {image}, "
                 "which is back in the generating set"
             )
-    g = basis.poly_to_base(basis.linear_factor_product(zeros.elements))
+    g = Poly.one(params.field)
+    for orb, f in zip(basis.orbits(), basis.irreducible_factors()):
+        if orb[0] in zeros:
+            g = g * f
     return ConstaCode(params, g, basis, gen_set)
 
 
@@ -154,16 +155,11 @@ def dual_generating_set(c: ConstaCode) -> tuple[ZnSet, ConstaCode]:
     respect to (xi, beta^{-1}) its generating set is -(Z_n \\ G) and its
     generator is the monic reciprocal of (x^n - lam)/g.
     """
-    n = c.params.n
     dset = c.gen_set.complement().negate()
-    h = _xn_minus_lam(c.params) // c.generator
+    h = c.params.xn_minus_lam // c.generator
     hstar = reciprocal(h).monic()
-    dual = code_from_generator(
-        CodeParams(c.params.field, n, c.params.lam.inverse()),
-        hstar,
-        _reciprocal_basis(c.basis),
-    )
-    return dset, dual
+    dual_basis = _reciprocal_basis(c.basis)
+    return dset, code_from_generator(dual_basis.params, hstar, dual_basis)
 
 
 # -- pattern polynomials and cores ---------------------------------------
@@ -242,7 +238,7 @@ def core_code(c: ConstaCode) -> ConstaCode:
     gbar = gbar.monic()
     lam_core = pat.alpha.inverse()
     params = CodeParams(c.params.field, pat.v, lam_core)
-    if not gbar.divides(_xn_minus_lam(params)):
+    if not gbar.divides(params.xn_minus_lam):
         raise RuntimeError("core generator does not divide x^v - 1/alpha")
     return code_from_generator(params, gbar)
 
@@ -289,29 +285,31 @@ def schur_product_gcd(
     """Componentwise product code, computed as a time-domain gcd.
 
     The generator is gcd({g o (x^j g2) : 0 <= j < n - deg g2}, x^n - lam1*lam2)
-    with g = g1*s mod (x^n - lam1) for any s coprime to (x^n - lam1)/g1.
+    with g = g1*s mod (x^n - lam1) for any s coprime to (x^n - lam1)/g1
+    (s = 1 when omitted).  The rows stop once the gcd reaches 1.
     """
     _, basis = _product_setup(c1, c2)
     params3 = basis.params
     n = params3.n
     ctx = params3.field
-    xn1 = _xn_minus_lam(c1.params)
-    h1 = xn1 // c1.generator
-    if s is None:
-        s = Poly.one(ctx)
-    elif s.ctx is not ctx:
-        raise ValueError("s is over the wrong field")
-    if poly_gcd(s, h1).degree != 0:
-        raise ValueError("s shares a factor with (x^n - lam1)/g1")
-    g = (c1.generator * s) % xn1
-    g_padded = g.padded(n)
-    acc = _xn_minus_lam(params3)
+    xn1 = c1.params.xn_minus_lam
+    g = c1.generator
+    if s is not None:
+        if s.ctx is not ctx:
+            raise ValueError("s is over the wrong field")
+        if poly_gcd(s, xn1 // g).degree != 0:
+            raise ValueError("s shares a factor with (x^n - lam1)/g1")
+        g = g * s
+    g_padded = (g % xn1).padded(n)
+    acc = params3.xn_minus_lam
     g2 = c2.generator
     for j in range(n - g2.degree):
         row = g2.shift(j).padded(n)
         prod = Poly(ctx, list(_schur_reps(ctx, g_padded, row)))
         if not prod.is_zero:
             acc = poly_gcd(acc, prod)
+            if acc.degree == 0:
+                break
     return code_from_generator(params3, acc, basis)
 
 

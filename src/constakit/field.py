@@ -285,7 +285,7 @@ class FieldCtx:
     # -- representation plumbing -------------------------------------------
 
     def rep_from_index(self, i: int):
-        if not isinstance(i, int) or not 0 <= i < self.cardinality:
+        if type(i) is not int or not 0 <= i < self.cardinality:
             raise ValueError(f"index {i!r} out of range for {self!r}")
         if self.kind == "vector":
             return self._vec_from_index(i)

@@ -194,8 +194,7 @@ def run_grid_verification(
                 product = Poly.one(field)
                 for f in basis.irreducible_factors():
                     product = product * f
-                xn = Poly.monomial(field, n) - Poly.from_elements([lam])
-                rec.record("factorization_product", product == xn, ctxinfo)
+                rec.record("factorization_product", product == basis.params.xn_minus_lam, ctxinfo)
 
                 all_codes = _divisor_codes(basis)
                 codes_checked += len(all_codes)

@@ -360,3 +360,20 @@ def test_transforms_reject_wrong_context_inputs(f3):
         basis.forward_extended([spl.one()] * 5)
     with pytest.raises(ValueError, match="^spectrum must have exactly n = 4 values$"):
         basis.inverse([spl.one()] * 5)
+
+
+def test_irreducible_factors_are_computed_once(f3):
+    basis = build_basis(CodeParams(f3, 8, f3.elem(2)))
+    first = basis.irreducible_factors()
+    assert basis.irreducible_factors() is first
+
+
+def test_xn_minus_lam_stays_out_of_eq_hash_and_repr(f3):
+    read = CodeParams(f3, 4, f3.elem(2))
+    assert read.xn_minus_lam == Poly.monomial(f3, 4) - Poly(f3, [2])
+    assert read.xn_minus_lam is read.xn_minus_lam
+    fresh = CodeParams(f3, 4, f3.elem(2))
+    assert "xn_minus_lam" not in vars(fresh)  # built on first use only
+    assert read == fresh and hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh)
+    assert len({read, fresh}) == 1

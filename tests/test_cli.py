@@ -301,6 +301,16 @@ def test_out_file(tmp_path, capsys):
     assert len(doc["factors"]) == 3
 
 
+def test_out_path_that_cannot_be_written(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "report.json"
+    rc, doc = run_json(
+        capsys, "factor", "--p", "3", "--n", "4", "--lambda", "2", "--out", str(target)
+    )
+    assert rc == 2
+    assert list(doc) == ["error"] and str(target) in doc["error"]
+    assert not target.parent.exists()
+
+
 def test_verify_small_grid(capsys):
     rc, doc = run_json(capsys, "verify", "--grid-q", "[2,3]", "--grid-n", "4")
     assert rc == 0

@@ -10,6 +10,7 @@ from constakit import (
     ZnSet,
     basis_family,
     bounds_report,
+    build_field,
     code_from_generating_set,
     code_from_generator,
     core_code,
@@ -27,7 +28,7 @@ from constakit import (
     schur_product_sumset,
     smallest_coset,
 )
-from constakit.codes import _xn_minus_lam
+import constakit.codes as codes_module
 from constakit.oracle import generator_rows, rref
 
 
@@ -82,7 +83,7 @@ def test_zero_and_full_codes(f3):
     params = CodeParams(f3, 4, f3.elem(2))
     full = code_from_generator(params, Poly.one(f3))
     assert full.is_full and full.dim == 4
-    zero = code_from_generator(params, _xn_minus_lam(params))
+    zero = code_from_generator(params, params.xn_minus_lam)
     assert zero.is_zero and zero.dim == 0
     assert zero.gen_set.elements == ()
 
@@ -206,7 +207,7 @@ def test_pattern_support_is_smallest_coset(f3):
 
 def test_zero_code_has_no_pattern(f3):
     params = CodeParams(f3, 4, f3.elem(2))
-    zero = code_from_generator(params, _xn_minus_lam(params))
+    zero = code_from_generator(params, params.xn_minus_lam)
     with pytest.raises(ValueError):
         pattern_polynomial(zero)
     with pytest.raises(ValueError):
@@ -256,7 +257,7 @@ def test_product_methods_match_oracle_sampled(f5):
 
 def test_product_with_zero_code(f3):
     params = CodeParams(f3, 4, f3.elem(2))
-    zero = code_from_generator(params, _xn_minus_lam(params))
+    zero = code_from_generator(params, params.xn_minus_lam)
     other = all_codes(f3, 4, f3.elem(2))[1]
     prod = schur_product_sumset(zero, other)
     assert prod.is_zero
@@ -272,14 +273,57 @@ def test_product_requires_same_length(f3):
         schur_product_gcd(a, b)
 
 
-def test_gcd_method_custom_multiplier(f3, negacyclic_example):
+def test_gcd_method_custom_multiplier(f3, f5, negacyclic_example):
     # any s coprime to (x^n - lam)/g1 must give the same product
     s = Poly(f3, [1, 1])
     default = schur_product_gcd(negacyclic_example, negacyclic_example)
     assert schur_product_gcd(negacyclic_example, negacyclic_example, s) == default
     bad = Poly(f3, [2, 2, 1])  # shares the factor x^2+2x+2 with h1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^s shares a factor with \(x\^n - lam1\)/g1$"):
         schur_product_gcd(negacyclic_example, negacyclic_example, bad)
+    with pytest.raises(ValueError, match="^s is over the wrong field$"):
+        schur_product_gcd(negacyclic_example, negacyclic_example, Poly.one(f5))
+
+
+def test_gcd_product_of_full_codes_takes_one_gcd(f3, monkeypatch):
+    calls = []
+    real = codes_module.poly_gcd
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(codes_module, "poly_gcd", counting)
+    full = code_from_generator(CodeParams(f3, 8, f3.one()), Poly.one(f3))
+    assert schur_product_gcd(full, full).is_full
+    assert len(calls) == 1
+
+
+def _orbit_grid():
+    for p, degs in ((2, []), (3, []), (2, [2]), (5, [])):
+        field = build_field(p, degs)
+        for n in range(1, 11):
+            if math.gcd(n, field.cardinality) != 1:
+                continue
+            for lam_idx in range(1, field.cardinality):
+                yield basis_family(field, n).basis_for_lambda(field.elem(lam_idx))
+
+
+def test_generators_from_orbit_factors_match_linear_factors():
+    """g assembled from the cached orbit factors is the projection of
+    prod (x - xi^k beta) over the zeros, for every union of orbits."""
+    count = 0
+    for basis in _orbit_grid():
+        n, orbits = basis.n, basis.orbits()
+        for mask in range(1 << len(orbits)):
+            zeros = [k for i, orb in enumerate(orbits) if mask >> i & 1 for k in orb]
+            expected = basis.poly_to_base(basis.linear_factor_product(zeros))
+            gen_set = ZnSet(n, set(range(n)) - set(zeros))
+            code = code_from_generating_set(basis.params, basis, gen_set)
+            assert code.generator == expected
+            assert code.gen_set == gen_set
+            count += 1
+    assert count == 454  # codes on the grid, one per union of orbits
 
 
 # -- powers, patterns of products, bounds ---------------------------------

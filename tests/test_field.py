@@ -319,6 +319,19 @@ def test_elem_rejects_foreign_and_junk():
         f4.elem([True, 0])  # a bool is not a residue
 
 
+@pytest.mark.parametrize("p,degrees,kind", [
+    (3, [], "prime"), (2, [3], "tabulated"), (3, [8], "vector"),
+])
+def test_index_refuses_bools(p, degrees, kind):
+    field = build_field(p, degrees)
+    assert field.kind == kind
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="out of range"):
+            field.elem(flag)
+        with pytest.raises(ValueError, match="out of range"):
+            field.rep_from_index(flag)
+
+
 def test_str_forms():
     f9 = build_field(3, [2])
     assert f9.rep_to_str(f9.elem([1, 1]).rep) == "y + 1"

@@ -11,7 +11,7 @@ from constakit import (
     oracle_pattern,
     oracle_schur_product,
 )
-from constakit.codes import _xn_minus_lam, basis_family
+from constakit.codes import basis_family
 from constakit.oracle import generator_rows, rref, span_contains
 from constakit.poly import _schur_reps
 
@@ -95,11 +95,11 @@ def test_oracle_square_forms_each_unordered_pair_once(
 
 def test_oracle_zero_factor(f3):
     params = CodeParams(f3, 4, f3.elem(2))
-    zero = code_from_generator(params, _xn_minus_lam(params))
+    zero = code_from_generator(params, params.xn_minus_lam)
     other = code_from_generator(params, Poly(f3, [2, 1, 1]))
     dim, gen = oracle_schur_product(zero, other)
     assert dim == 0
-    assert gen == _xn_minus_lam(CodeParams(f3, 4, f3.one()))
+    assert gen == CodeParams(f3, 4, f3.one()).xn_minus_lam
 
 
 def test_oracle_rejects_incompatible(f3):
@@ -122,7 +122,7 @@ def test_oracle_pattern_self(f3):
 def test_oracle_pattern_zero_rejected(f3):
     params = CodeParams(f3, 4, f3.elem(2))
     with pytest.raises(ValueError):
-        oracle_pattern(code_from_generator(params, _xn_minus_lam(params)))
+        oracle_pattern(code_from_generator(params, params.xn_minus_lam))
 
 
 def test_oracle_dual_dimensions(f3):
@@ -155,7 +155,7 @@ def test_oracle_dual_of_full_space(f3):
     full = code_from_generator(params, Poly.one(f3))
     dim, rows = oracle_dual(full)
     assert dim == 0 and rows == []
-    zero = code_from_generator(params, _xn_minus_lam(params))
+    zero = code_from_generator(params, params.xn_minus_lam)
     dim, rows = oracle_dual(zero)
     assert dim == 4
     assert rows == rref(f3, [tuple(1 if i == j else 0 for j in range(4)) for i in range(4)])[0]
