@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as datafield
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import Sequence
 
 from .field import FieldCtx, FieldElem, elem_order, find_element_of_order
@@ -82,108 +82,53 @@ class CodeParams:
 
 
 class RootBasis:
-    """The n evaluation points xi^j * beta, all powers of one delta.
+    """The n evaluation points xi^j * beta of one BasisFamily, beta = delta^s.
 
-    xi = delta^xi_exp has order exactly n and beta = delta^beta_exp
-    satisfies beta^n = lam.  Keeping everything inside the cyclic group
-    generated by delta means products of points and their inverses never
-    require a field inversion or discrete logarithm, only exponent
-    arithmetic mod ord(delta).
+    The family fixes delta of order e = n*o and xi = delta^o; a basis adds
+    only the exponent s.  lam = beta^n = delta^(sn), and the Frobenius
+    shift t with xi^t = beta^(q-1) is s*(q-1)/o mod n, because o divides
+    q - 1.  Every point is a power of delta, so products of points and
+    their inverses never require a field inversion or discrete logarithm,
+    only exponent arithmetic mod e.  Bases are made by their family.
     """
 
     __slots__ = (
+        "family",
         "params",
-        "splitting",
-        "delta",
-        "delta_order",
-        "xi_exp",
         "beta_exp",
-        "xi",
-        "beta",
         "frobenius_shift",
-        "_dpow_rep",
-        "_dpow_cache",
         "_point_exp",
+        "_orbits",
         "_factors",
     )
 
-    def __init__(
-        self,
-        params: CodeParams,
-        splitting: FieldCtx,
-        delta: FieldElem,
-        delta_order: int,
-        xi_exp: int,
-        beta_exp: int,
-    ):
-        n = params.n
-        e = delta_order
-        if delta.ctx is not splitting:
-            raise ValueError("delta must live in the splitting context")
-        if e % n:
-            raise ValueError("ord(delta) must be a multiple of n")
-        xi_exp %= e
-        beta_exp %= e
-        if e // math.gcd(e, xi_exp if xi_exp else e) != n:
-            raise ValueError("xi exponent does not give an element of order n")
-        self.params = params
-        self.splitting = splitting
-        self.delta = delta
-        self.delta_order = e
-        self.xi_exp = xi_exp
-        self.beta_exp = beta_exp
-
-        if e <= EAGER_POWER_LIMIT:
-            reps = [splitting.one_rep]
-            mul = splitting.mul
-            for _ in range(e - 1):
-                reps.append(mul(reps[-1], delta.rep))
-            self._dpow_rep = reps
-        else:
-            self._dpow_rep = None
-        self._dpow_cache = {}
-
-        self.xi = self.delta_pow(xi_exp)
-        self.beta = self.delta_pow(beta_exp)
-        if self.delta_pow(beta_exp * n) != params.lam.lift(splitting):
-            raise ValueError("beta exponent does not produce a root of x^n - lam")
-
-        # xi^t = beta^(q-1); solvable because beta^(q-1) is an n-th root
-        # of unity (its n-th power is lam^(q-1) = 1).
-        target = beta_exp * (params.q - 1) % e
-        for t in range(n):
-            if (xi_exp * t - target) % e == 0:
-                self.frobenius_shift = t
-                break
-        else:
-            raise ValueError("no frobenius shift; beta^(q-1) escaped <xi>")
-
-        self._point_exp = tuple((xi_exp * j + beta_exp) % e for j in range(n))
+    def __init__(self, family: BasisFamily, s: int):
+        n, o, e = family.n, family.xi_exp, family.delta_order
+        s %= e
+        lam = family.delta_pow(s * n).project(family.field)
+        self.family = family
+        self.params = CodeParams(family.field, n, lam)
+        self.beta_exp = s
+        self.frobenius_shift = s * ((family.field.cardinality - 1) // o) % n
+        self._point_exp = tuple((o * j + s) % e for j in range(n))
+        self._orbits = None
         self._factors = None
+
+    splitting = property(lambda self: self.family.splitting)
+    delta = property(lambda self: self.family.delta)
+    delta_order = property(lambda self: self.family.delta_order)
+    xi_exp = property(lambda self: self.family.xi_exp)
 
     @property
     def n(self) -> int:
         return self.params.n
 
     def delta_pow(self, k: int) -> FieldElem:
-        return FieldElem(self.splitting, self._dpow_rep_of(k))
-
-    def _dpow_rep_of(self, k: int):
-        k %= self.delta_order
-        if self._dpow_rep is not None:
-            return self._dpow_rep[k]
-        rep = self._dpow_cache.get(k)
-        if rep is None:
-            rep = self.splitting.pow_rep(self.delta.rep, k)
-            self._dpow_cache[k] = rep
-        return rep
+        return self.family.delta_pow(k)
 
     def point(self, j: int) -> FieldElem:
         """The j-th evaluation point xi^j * beta."""
-        return self.delta_pow(self._point_exp[j % self.n])
-
-    def points(self) -> tuple[FieldElem, ...]:
-        return tuple(self.point(j) for j in range(self.n))
+        return self.family.delta_pow(self._point_exp[j % self.n])
 
     # -- transforms ----------------------------------------------------
 
@@ -248,11 +193,12 @@ class RootBasis:
         sublevel element; at prime and tabulated levels scale is mul,
         because sublevel indices embed as themselves.
         """
-        spl = self.splitting
+        fam = self.family
+        spl = fam.splitting
         add, zero = spl.add, spl.zero_rep
         term = spl.mul if ctx is spl else spl.scale
-        e = self.delta_order
-        dp = self._dpow_rep_of
+        e = fam.delta_order
+        dp = fam.power_rep
         terms = [(v, x) for v, x in zip(vs, reps) if x != ctx.zero_rep]
         out = []
         for u in us:
@@ -278,21 +224,26 @@ class RootBasis:
         return True
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of j -> q*j + t on Z_n, each sorted, ordered by minimum."""
-        n, q, t = self.n, self.params.q, self.frobenius_shift
-        seen = [False] * n
-        out = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            orb = []
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                orb.append(j)
-                j = (q * j + t) % n
-            out.append(tuple(sorted(orb)))
-        return tuple(out)
+        """Orbits of j -> q*j + t on Z_n, each sorted, ordered by minimum.
+
+        Computed on the first call and kept on the basis.
+        """
+        if self._orbits is None:
+            n, q, t = self.n, self.params.q, self.frobenius_shift
+            seen = [False] * n
+            out = []
+            for start in range(n):
+                if seen[start]:
+                    continue
+                orb = []
+                j = start
+                while not seen[j]:
+                    seen[j] = True
+                    orb.append(j)
+                    j = (q * j + t) % n
+                out.append(tuple(sorted(orb)))
+            self._orbits = tuple(out)
+        return self._orbits
 
     def linear_factor_product(self, ks) -> Poly:
         """prod_{k in ks} (x - xi^k * beta) over the splitting field."""
@@ -362,65 +313,79 @@ class Spectrum:
 def build_basis(params: CodeParams) -> RootBasis:
     """Root basis drawn from the smallest extension splitting x^n - lam.
 
-    delta is the canonical element of order n * ord(lam); xi is its
-    ord(lam)-th power and beta the smallest power of delta whose n-th
-    power equals lam.
+    It is lam's basis in the family with o = ord(lam): delta is the
+    canonical element of order n * ord(lam), xi = delta^ord(lam), and beta
+    the smallest power of delta whose n-th power equals lam.
     """
-    e = params.n * params.lam_order
-    m = params.splitting_degree
-    splitting = params.field if m == 1 else params.field.extend(m)
-    delta = find_element_of_order(splitting, e)
-    lam = params.lam.lift(splitting)
-    for s in range(params.lam_order):
-        if delta ** (s * params.n) == lam:
-            return RootBasis(params, splitting, delta, e, params.lam_order, s)
-    raise AssertionError("lam escaped the group generated by delta^n")
+    family = BasisFamily(params.field, params.n, params.lam_order)
+    # Made outside the family's cache: a cached basis and its family refer
+    # to each other, so dropping them would leave the freeing to the cycle
+    # collector, and one-off bases would pile up until it ran.
+    return RootBasis(family, family._exponent_for_lambda(params.lam))
 
 
 class BasisFamily:
-    """One delta of order n*(q-1) serving every lam for a fixed (field, n).
+    """One delta of order e = n*o and the bases beta = delta^s it carries.
 
-    All bases handed out by a family share xi and live in one splitting
-    field, so spectra taken with respect to different constants can be
-    compared or multiplied pointwise directly.  A basis is addressed by
-    the exponent s with beta = delta^s; componentwise code products add
-    exponents, duals negate them, and Schur powers multiply them.
+    o divides q - 1 and defaults to q - 1.  The family builds the
+    splitting field, delta, xi = delta^o (of order n) and one table of
+    delta's powers, which all its bases share.  With the default o it
+    serves every lam of F_q with one xi in one splitting field, so spectra
+    taken with respect to different constants can be compared or
+    multiplied pointwise directly.  A basis is addressed by the exponent s
+    with beta = delta^s; componentwise code products add exponents, duals
+    negate them, and Schur powers multiply them.
     """
 
-    def __init__(self, field: FieldCtx, n: int):
+    def __init__(self, field: FieldCtx, n: int, o: int | None = None):
         q = field.cardinality
         if math.gcd(n, q) != 1:
             raise ValueError(f"length {n} shares a factor with q = {q}")
+        if o is None:
+            o = q - 1
+        elif o < 1 or (q - 1) % o:
+            raise ValueError(f"{o} does not divide q - 1 = {q - 1}")
         self.field = field
         self.n = n
-        self.delta_order = n * (q - 1)
-        m = mult_order_mod(q, self.delta_order)
-        self.splitting = field if m == 1 else field.extend(m)
-        self.delta = find_element_of_order(self.splitting, self.delta_order)
+        self.xi_exp = o
+        self.delta_order = e = n * o
+        m = mult_order_mod(q, e)
+        self.splitting = spl = field if m == 1 else field.extend(m)
+        self.delta = find_element_of_order(spl, e)
+        # power_rep(k) is the rep of delta^k for 0 <= k < e: a table up to
+        # EAGER_POWER_LIMIT, memoized one power at a time beyond it.
+        if e <= EAGER_POWER_LIMIT:
+            reps = [spl.one_rep]
+            for _ in range(e - 1):
+                reps.append(spl.mul(reps[-1], self.delta.rep))
+            self.power_rep = reps.__getitem__
+        else:
+            self.power_rep = cache(partial(spl.pow_rep, self.delta.rep))
         self._by_exp: dict[int, RootBasis] = {}
+
+    def delta_pow(self, k: int) -> FieldElem:
+        return FieldElem(self.splitting, self.power_rep(k % self.delta_order))
 
     def basis_for_exponent(self, s: int) -> RootBasis:
         s %= self.delta_order
         basis = self._by_exp.get(s)
         if basis is None:
-            q = self.field.cardinality
-            lam = (self.delta ** (s * self.n)).project(self.field)
-            params = CodeParams(self.field, self.n, lam)
-            basis = RootBasis(
-                params, self.splitting, self.delta, self.delta_order, q - 1, s
-            )
-            self._by_exp[s] = basis
+            basis = self._by_exp[s] = RootBasis(self, s)
         return basis
 
     def basis_for_lambda(self, lam: FieldElem) -> RootBasis:
         """The family basis with the smallest exponent s, beta^n = lam."""
+        return self.basis_for_exponent(self._exponent_for_lambda(lam))
+
+    def _exponent_for_lambda(self, lam: FieldElem) -> int:
+        """The smallest s with delta^(sn) = lam."""
         if not isinstance(lam, FieldElem) or lam.ctx is not self.field:
             raise ValueError("lam must be an element of the family's field")
         lifted = lam.lift(self.splitting)
-        for s in range(self.field.cardinality - 1):
-            if self.delta ** (s * self.n) == lifted:
-                return self.basis_for_exponent(s)
-        raise ValueError("lam is not a unit of the base field")
+        for s in range(self.xi_exp):
+            if self.delta_pow(s * self.n) == lifted:
+                return s
+        raise ValueError(f"lam is not a unit of order dividing {self.xi_exp}")
 
     def __repr__(self) -> str:
-        return f"BasisFamily(q={self.field.cardinality}, n={self.n})"
+        return f"BasisFamily(q={self.field.cardinality}, n={self.n}, o={self.xi_exp})"

@@ -134,20 +134,6 @@ def code_from_generating_set(
 # -- duality ------------------------------------------------------------
 
 
-def _reciprocal_basis(basis: RootBasis) -> RootBasis:
-    """The (xi, beta^{-1}) basis, for codes over lam^{-1}."""
-    params = basis.params
-    dual_params = CodeParams(params.field, params.n, params.lam.inverse())
-    return RootBasis(
-        dual_params,
-        basis.splitting,
-        basis.delta,
-        basis.delta_order,
-        basis.xi_exp,
-        -basis.beta_exp,
-    )
-
-
 def dual_generating_set(c: ConstaCode) -> tuple[ZnSet, ConstaCode]:
     """Generating set of the Euclidean dual, with the dual code itself.
 
@@ -158,7 +144,7 @@ def dual_generating_set(c: ConstaCode) -> tuple[ZnSet, ConstaCode]:
     dset = c.gen_set.complement().negate()
     h = c.params.xn_minus_lam // c.generator
     hstar = reciprocal(h).monic()
-    dual_basis = _reciprocal_basis(c.basis)
+    dual_basis = c.basis.family.basis_for_exponent(-c.basis.beta_exp)
     return dset, code_from_generator(dual_basis.params, hstar, dual_basis)
 
 
@@ -248,19 +234,14 @@ def core_code(c: ConstaCode) -> ConstaCode:
 
 def _family_exponent(c: ConstaCode) -> tuple[BasisFamily, int]:
     """The code's basis as (family, exponent), or an error if it is foreign."""
-    params = c.params
-    fam = basis_family(params.field, params.n)
-    b = c.basis
-    if (
-        b.delta_order != fam.delta_order
-        or b.delta != fam.delta
-        or b.xi_exp != (params.q - 1) % fam.delta_order
-    ):
+    fam = basis_family(c.params.field, c.params.n)
+    own = c.basis.family
+    if own.delta_order != fam.delta_order or own.delta != fam.delta:
         raise ValueError(
             "code was built on a basis outside the (field, n) family; "
             "rebuild it with the default basis to take products"
         )
-    return fam, b.beta_exp
+    return fam, c.basis.beta_exp
 
 
 def _product_setup(c1: ConstaCode, c2: ConstaCode):
@@ -407,7 +388,9 @@ def bounds_report(c: ConstaCode) -> dict:
     pat = pattern_polynomial(c)
     report = {"n": n, "k": k, "r": r, "dims": dims}
 
-    square_dim = len(sumset(c.gen_set, c.gen_set))
+    # dims stops at the first stable size, so the square's size is dims[1]
+    # unless G + G already had the size of G.
+    square_dim = dims[1] if len(dims) > 1 else dims[0]
     over_half = 2 * k > n
     report["square_fills"] = {
         "applies": over_half,

@@ -377,12 +377,8 @@ class FieldCtx:
     def elements(self) -> Iterator[FieldElem]:
         return (FieldElem(self, r) for r in self.iter_reps())
 
-    def extend(self, degree: int, max_cardinality: int | None = None) -> "FieldCtx":
-        return build_field(
-            self.p,
-            list(self.degrees) + [degree],
-            max_cardinality=max_cardinality or DEFAULT_MAX_CARDINALITY,
-        )
+    def extend(self, degree: int) -> "FieldCtx":
+        return build_field(self.p, list(self.degrees) + [degree])
 
     def describe(self) -> dict:
         moduli = []
@@ -619,16 +615,12 @@ def _first_irreducible(sub: FieldCtx, degree: int) -> Poly:
 _FIELD_CACHE: dict[tuple[int, tuple[int, ...]], FieldCtx] = {}
 
 
-def build_field(
-    p: int,
-    degrees: Sequence[int],
-    max_cardinality: int = DEFAULT_MAX_CARDINALITY,
-) -> FieldCtx:
+def build_field(p: int, degrees: Sequence[int]) -> FieldCtx:
     """Deterministically build the tower F_p < F_p^d1 < (F_p^d1)^d2 < ...
 
     Equal (p, degrees) always return the identical context object, so
     element contexts can be compared by identity.  The constructor refuses
-    towers larger than max_cardinality.
+    towers larger than DEFAULT_MAX_CARDINALITY.
     """
     if not nt.is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -638,9 +630,9 @@ def build_field(
     card = p
     for d in degs:
         card **= d
-        if card > max_cardinality:
+        if card > DEFAULT_MAX_CARDINALITY:
             raise ValueError(
-                f"tower cardinality {card} exceeds the cap {max_cardinality}"
+                f"tower cardinality {card} exceeds the cap {DEFAULT_MAX_CARDINALITY}"
             )
     key = (p, degs)
     if key in _FIELD_CACHE:

@@ -27,7 +27,7 @@ class ZnSet:
         object.__setattr__(self, "elements", elems)
 
     def __contains__(self, x: int) -> bool:
-        return x % self.n in set(self.elements)
+        return x % self.n in self.elements
 
     def __iter__(self):
         return iter(self.elements)

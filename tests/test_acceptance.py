@@ -217,15 +217,8 @@ def test_criterion_8_reversal_identity():
                 if lam.is_zero:
                     continue
                 basis = build_basis(CodeParams(field, n, lam))
-                e = basis.delta_order
-                rev = RootBasis(
-                    CodeParams(field, n, lam.inverse()),
-                    basis.splitting,
-                    basis.delta,
-                    e,
-                    basis.xi_exp,
-                    (-basis.beta_exp) % e,
-                )
+                rev = RootBasis(basis.family, -basis.beta_exp)
+                assert rev.params.lam == lam.inverse()
                 # swapping beta for beta^-1 changes the transform matrix
                 # iff some entry (xi^j beta)^i with i < n moves, i.e. n >= 2
                 # and beta^2 != 1; elsewhere the control cannot fire

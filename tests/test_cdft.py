@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -240,15 +242,8 @@ def test_reversal_identity(f5):
     for lam_idx in (2, 3, 4):
         params = CodeParams(f5, n, f5.elem(lam_idx))
         basis = build_basis(params)
-        e = basis.delta_order
-        rev = RootBasis(
-            CodeParams(f5, n, params.lam.inverse()),
-            basis.splitting,
-            basis.delta,
-            e,
-            basis.xi_exp,
-            (-basis.beta_exp) % e,
-        )
+        rev = RootBasis(basis.family, -basis.beta_exp)
+        assert rev.params.lam == params.lam.inverse()
         for _ in range(8):
             a = [f5.elem(rng.randrange(5)) for _ in range(n)]
             A = basis.forward(a).values
@@ -274,6 +269,65 @@ def test_family_and_per_lambda_bases_agree_on_supports(f3):
             acc2 = acc2 * f
         assert acc1 == acc2
         assert g.divides(acc1)
+
+
+def test_closed_form_shift_solves_the_frobenius_equation():
+    """xi^t = beta^(q-1) for t = s*(q-1)/o mod n, on the criterion-1 grid.
+
+    Covers every build_basis basis (o = ord lam) and every basis of the
+    default family (o = q - 1).
+    """
+    grid = {2: (2, []), 3: (3, []), 4: (2, [2]), 5: (5, []), 9: (3, [2])}
+    checked = 0
+    for q, (p, degs) in grid.items():
+        field = build_field(p, degs)
+        for n in range(1, 17):
+            if math.gcd(n, q) != 1:
+                continue
+            fam = BasisFamily(field, n)
+            bases = [fam.basis_for_exponent(s) for s in range(fam.delta_order)]
+            for lam in field.elements():
+                if not lam.is_zero:
+                    bases.append(build_basis(CodeParams(field, n, lam)))
+            for b in bases:
+                t = b.frobenius_shift
+                assert 0 <= t < n
+                assert b.delta_pow(b.xi_exp * t) == b.delta_pow(b.beta_exp * (q - 1))
+                assert b.delta_pow(b.beta_exp * n) == b.params.lam.lift(b.splitting)
+                checked += 1
+    assert checked == 1784
+
+
+def test_family_exponent_must_divide_q_minus_1(f5, f9):
+    for o in (0, 3, 5):
+        with pytest.raises(ValueError, match=f"^{o} does not divide q - 1 = 4$"):
+            BasisFamily(f5, 3, o)
+    fam = BasisFamily(f9, 4, 2)
+    assert fam.delta_order == 8
+    assert fam.delta_pow(fam.xi_exp * 4) == fam.splitting.one()
+    with pytest.raises(ValueError, match="^lam is not a unit of order dividing 2$"):
+        fam.basis_for_lambda(f9.elem(3))  # of order 4 in F_9
+
+
+def test_build_basis_is_the_lambda_basis_of_its_order_family(f5):
+    for lam_idx in range(1, 5):
+        params = CodeParams(f5, 6, f5.elem(lam_idx))
+        basis = build_basis(params)
+        assert basis.xi_exp == params.lam_order
+        assert basis.delta_order == 6 * params.lam_order
+        assert basis.params == params
+        assert basis.family.basis_for_lambda(params.lam).beta_exp == basis.beta_exp
+
+
+def test_build_basis_is_freed_without_the_cycle_collector(f3):
+    gc.disable()
+    try:
+        basis = build_basis(CodeParams(f3, 4, f3.elem(2)))
+        family = weakref.ref(basis.family)
+        del basis
+        assert family() is None
+    finally:
+        gc.enable()
 
 
 def test_family_rejects_foreign_lambda(f3, f5):
@@ -366,6 +420,7 @@ def test_irreducible_factors_are_computed_once(f3):
     basis = build_basis(CodeParams(f3, 8, f3.elem(2)))
     first = basis.irreducible_factors()
     assert basis.irreducible_factors() is first
+    assert basis.orbits() is basis.orbits()
 
 
 def test_xn_minus_lam_stays_out_of_eq_hash_and_repr(f3):

@@ -4,12 +4,14 @@ import random
 import pytest
 
 from constakit import (
+    BasisFamily,
     CodeParams,
     PatternPoly,
     Poly,
     ZnSet,
     basis_family,
     bounds_report,
+    build_basis,
     build_field,
     code_from_generating_set,
     code_from_generator,
@@ -130,6 +132,38 @@ def test_dual_is_the_nullspace(f3, f5):
                 else:
                     rows, _ = rref(field, generator_rows(dual))
                     assert rows == null_rows
+
+
+def test_dual_on_a_build_basis_basis_matches_the_oracle(f3, f5):
+    for field, n in ((f3, 4), (f5, 4), (f5, 6)):
+        for lam in field.elements():
+            if lam.is_zero:
+                continue
+            params = CodeParams(field, n, lam)
+            basis = build_basis(params)
+            factors = basis.irreducible_factors()
+            for mask in range(1 << len(factors)):
+                g = Poly.one(field)
+                for i, f in enumerate(factors):
+                    if mask >> i & 1:
+                        g = g * f
+                c = code_from_generator(params, g, basis)
+                dset, dual = dual_generating_set(c)
+                assert dual.basis.family is basis.family
+                assert dual.params.lam == lam.inverse()
+                assert dset == dual.gen_set
+                null_dim, null_rows = oracle_dual(c)
+                assert dual.dim == null_dim
+                if not dual.is_zero:
+                    assert rref(field, generator_rows(dual))[0] == null_rows
+
+
+def test_dual_of_a_family_code_sits_on_the_cached_basis(f5):
+    fam = basis_family(f5, 4)
+    for c in all_codes(f5, 4, f5.elem(2)):
+        _, dual = dual_generating_set(c)
+        assert dual.basis is fam.basis_for_exponent(-c.basis.beta_exp)
+        assert dual_generating_set(c)[1].basis is dual.basis
 
 
 def test_dual_constant_is_inverse(f5):
@@ -271,6 +305,30 @@ def test_product_requires_same_length(f3):
         schur_product_sumset(a, b)
     with pytest.raises(ValueError):
         schur_product_gcd(a, b)
+
+
+def test_products_take_family_bases_only(f5):
+    params = CodeParams(f5, 4, f5.one())  # ord(1) = 1 < q - 1
+    g = Poly(f5, [4, 1])  # x - 1
+    foreign = code_from_generator(params, g, build_basis(params))
+    home = code_from_generator(params, g)
+    message = (
+        r"^code was built on a basis outside the \(field, n\) family; "
+        r"rebuild it with the default basis to take products$"
+    )
+    for product in (schur_product_sumset, schur_product_gcd):
+        with pytest.raises(ValueError, match=message):
+            product(foreign, home)
+        with pytest.raises(ValueError, match=message):
+            product(home, foreign)
+    with pytest.raises(ValueError, match=message):
+        schur_power(foreign, 2)
+    # a family the caller built has the canonical delta, so it is accepted
+    own = code_from_generator(params, g, BasisFamily(f5, 4).basis_for_lambda(f5.one()))
+    assert own.basis.family is not home.basis.family
+    for product in (schur_product_sumset, schur_product_gcd):
+        assert product(own, own) == product(home, home)
+        assert product(own, home) == product(home, home)
 
 
 def test_gcd_method_custom_multiplier(f3, f5, negacyclic_example):

@@ -5,11 +5,13 @@ import pytest
 from constakit import (
     CodeParams,
     Poly,
+    RootBasis,
     build_field,
     code_from_generator,
     oracle_dual,
     oracle_pattern,
     oracle_schur_product,
+    schur_product_gcd,
 )
 from constakit.codes import basis_family
 from constakit.oracle import generator_rows, rref, span_contains
@@ -159,3 +161,37 @@ def test_oracle_dual_of_full_space(f3):
     dim, rows = oracle_dual(zero)
     assert dim == 4
     assert rows == rref(f3, [tuple(1 if i == j else 0 for j in range(4)) for i in range(4)])[0]
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("the transform was used")
+
+
+def test_oracle_never_touches_the_transform(f3, monkeypatch):
+    fam = basis_family(f3, 8)
+    codes = []
+    for lam_idx in (1, 2):
+        lam = f3.elem(lam_idx)
+        params = CodeParams(f3, 8, lam)
+        factors = fam.basis_for_lambda(lam).irreducible_factors()
+        for k in range(len(factors)):
+            codes.append(code_from_generator(params, factors[k]))
+    for name in ("forward", "forward_poly", "inverse", "irreducible_factors"):
+        monkeypatch.setattr(RootBasis, name, _refuse)
+    for c1 in codes:
+        oracle_dual(c1)
+        oracle_pattern(c1)
+        for c2 in codes:
+            oracle_schur_product(c1, c2)
+
+
+def test_gcd_product_never_reads_orbits_or_factors(f3, monkeypatch):
+    fam = basis_family(f3, 8)
+    params = CodeParams(f3, 8, f3.elem(2))
+    factors = fam.basis_for_lambda(params.lam).irreducible_factors()
+    codes = [code_from_generator(params, f) for f in factors]
+    for name in ("orbits", "irreducible_factors"):
+        monkeypatch.setattr(RootBasis, name, _refuse)
+    for c1 in codes:
+        for c2 in codes:
+            schur_product_gcd(c1, c2)
