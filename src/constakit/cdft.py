@@ -33,6 +33,13 @@ from .zn import ZnSet
 EAGER_POWER_LIMIT = 4096
 
 
+def _check_length(n: int, q: int) -> None:
+    if n < 1:
+        raise ValueError("length must be >= 1")
+    if math.gcd(n, q) != 1:
+        raise ValueError(f"length {n} shares a factor with q = {q}")
+
+
 @dataclass(frozen=True)
 class CodeParams:
     """Ambient data (field, length, constant) for one constacyclic setting.
@@ -54,11 +61,8 @@ class CodeParams:
             raise ValueError("lam must be an element of the given field")
         if self.lam.is_zero:
             raise ValueError("lam must be a unit")
-        if self.n < 1:
-            raise ValueError("length must be >= 1")
         q = ctx.cardinality
-        if math.gcd(self.n, q) != 1:
-            raise ValueError(f"length {self.n} shares a factor with q = {q}")
+        _check_length(self.n, q)
         o = elem_order(self.lam)
         m_root = mult_order_mod(q, self.n)
         m_split = mult_order_mod(q, self.n * o)
@@ -313,15 +317,23 @@ class Spectrum:
 def build_basis(params: CodeParams) -> RootBasis:
     """Root basis drawn from the smallest extension splitting x^n - lam.
 
-    It is lam's basis in the family with o = ord(lam): delta is the
-    canonical element of order n * ord(lam), xi = delta^ord(lam), and beta
-    the smallest power of delta whose n-th power equals lam.
+    It is lam's basis in the memoized family with o = ord(lam): delta is
+    the canonical element of order n * ord(lam), xi = delta^ord(lam), and
+    beta the smallest power of delta whose n-th power equals lam.
     """
-    family = BasisFamily(params.field, params.n, params.lam_order)
-    # Made outside the family's cache: a cached basis and its family refer
-    # to each other, so dropping them would leave the freeing to the cycle
-    # collector, and one-off bases would pile up until it ran.
-    return RootBasis(family, family._exponent_for_lambda(params.lam))
+    return basis_family(params.field, params.n, params.lam_order).basis_for_lambda(params.lam)
+
+
+_FAMILIES: dict[tuple[FieldCtx, int, int], BasisFamily] = {}
+
+
+def basis_family(field: FieldCtx, n: int, o: int | None = None) -> BasisFamily:
+    """The memoized BasisFamily(field, n, o), o defaulting to q - 1; one per process."""
+    key = (field, n, field.cardinality - 1 if o is None else o)
+    fam = _FAMILIES.get(key)
+    if fam is None:
+        fam = _FAMILIES[key] = BasisFamily(*key)
+    return fam
 
 
 class BasisFamily:
@@ -339,8 +351,7 @@ class BasisFamily:
 
     def __init__(self, field: FieldCtx, n: int, o: int | None = None):
         q = field.cardinality
-        if math.gcd(n, q) != 1:
-            raise ValueError(f"length {n} shares a factor with q = {q}")
+        _check_length(n, q)
         if o is None:
             o = q - 1
         elif o < 1 or (q - 1) % o:
@@ -374,17 +385,13 @@ class BasisFamily:
         return basis
 
     def basis_for_lambda(self, lam: FieldElem) -> RootBasis:
-        """The family basis with the smallest exponent s, beta^n = lam."""
-        return self.basis_for_exponent(self._exponent_for_lambda(lam))
-
-    def _exponent_for_lambda(self, lam: FieldElem) -> int:
-        """The smallest s with delta^(sn) = lam."""
+        """The family basis with the smallest exponent s, beta^n = delta^(sn) = lam."""
         if not isinstance(lam, FieldElem) or lam.ctx is not self.field:
             raise ValueError("lam must be an element of the family's field")
         lifted = lam.lift(self.splitting)
         for s in range(self.xi_exp):
             if self.delta_pow(s * self.n) == lifted:
-                return s
+                return self.basis_for_exponent(s)
         raise ValueError(f"lam is not a unit of order dividing {self.xi_exp}")
 
     def __repr__(self) -> str:

@@ -16,23 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cdft import BasisFamily, CodeParams, RootBasis
-from .field import FieldCtx, FieldElem
+from .cdft import BasisFamily, CodeParams, RootBasis, basis_family
+from .field import FieldElem
 from .numbertheory import is_prime
 from .poly import Poly, _schur_reps, poly_gcd, reciprocal
 from .zn import ZnSet, fourier_bias, iterated_sumset, smallest_coset, sumset
-
-_FAMILIES: dict[tuple[int, tuple[int, ...], int], BasisFamily] = {}
-
-
-def basis_family(field: FieldCtx, n: int) -> BasisFamily:
-    """The memoized delta-family for (field, n); one per process."""
-    key = (field.p, field.degrees, n)
-    fam = _FAMILIES.get(key)
-    if fam is None:
-        fam = BasisFamily(field, n)
-        _FAMILIES[key] = fam
-    return fam
 
 
 class ConstaCode:
@@ -73,6 +61,15 @@ class ConstaCode:
         return f"ConstaCode(q={p.q}, n={p.n}, lam={p.lam!r}, g={self.generator!r})"
 
 
+def _resolve_basis(params: CodeParams, basis: RootBasis | None) -> RootBasis:
+    """The default family basis for params, or the given basis if it fits them."""
+    if basis is None:
+        return basis_family(params.field, params.n).basis_for_lambda(params.lam)
+    if basis.params != params:
+        raise ValueError("basis was built for different parameters")
+    return basis
+
+
 def code_from_generator(
     params: CodeParams, g: Poly, basis: RootBasis | None = None
 ) -> ConstaCode:
@@ -84,10 +81,7 @@ def code_from_generator(
     if not g.divides(params.xn_minus_lam):
         lam = params.field.rep_to_str(params.lam.rep)
         raise ValueError(f"{g!r} does not divide x^{params.n} - ({lam})")
-    if basis is None:
-        basis = basis_family(params.field, params.n).basis_for_lambda(params.lam)
-    elif basis.params != params:
-        raise ValueError("basis was built for different parameters")
+    basis = _resolve_basis(params, basis)
     if g.degree == params.n:
         gen_set = ZnSet(params.n)
     else:
@@ -107,10 +101,7 @@ def code_from_generating_set(
     The complement is then a union of orbits, and the generator is the
     product of their irreducible factors, which the basis caches.
     """
-    if basis is None:
-        basis = basis_family(params.field, params.n).basis_for_lambda(params.lam)
-    elif basis.params != params:
-        raise ValueError("basis was built for different parameters")
+    basis = _resolve_basis(params, basis)
     n, q, t = params.n, params.q, basis.frobenius_shift
     if not isinstance(gen_set, ZnSet):
         gen_set = ZnSet(n, gen_set)

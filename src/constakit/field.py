@@ -126,10 +126,6 @@ class FieldElem:
         """Position of this element in the canonical scan."""
         return self.ctx.rep_to_index(self.rep)
 
-    def coeffs(self):
-        """Nested coefficient lists down to prime residues."""
-        return self.ctx.rep_to_nested(self.rep)
-
     def lift(self, target: "FieldCtx") -> "FieldElem":
         """Embed into an extension built on top of this element's context."""
         path = []

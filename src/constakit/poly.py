@@ -46,11 +46,10 @@ class Poly:
         return cls(ctx, (ctx.zero_rep, ctx.one_rep))
 
     @classmethod
-    def monomial(cls, ctx, k: int, coeff=None) -> "Poly":
+    def monomial(cls, ctx, k: int) -> "Poly":
         if k < 0:
             raise ValueError("monomial exponent must be >= 0")
-        c = ctx.one_rep if coeff is None else coeff
-        return cls(ctx, (ctx.zero_rep,) * k + (c,))
+        return cls(ctx, (ctx.zero_rep,) * k + (ctx.one_rep,))
 
     @classmethod
     def from_indices(cls, ctx, indices: Sequence[int]) -> "Poly":

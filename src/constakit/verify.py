@@ -20,7 +20,7 @@ from .cdft import CodeParams
 from .field import FieldCtx, build_field
 from .numbertheory import divisors, factorint
 from .poly import Poly
-from .zn import ZnSet, smallest_coset, sumset
+from .zn import smallest_coset
 
 
 def field_for_cardinality(q: int) -> FieldCtx:
@@ -53,21 +53,18 @@ class _Recorder:
 
 
 def _divisor_codes(basis) -> list[cd.ConstaCode]:
-    """Every code for this (params, basis): one per subset of orbits."""
+    """Every code for this (params, basis): one per subset of orbits.
+
+    Each is built from its generating set and checked against the code
+    its generator gives through the transform.
+    """
     params = basis.params
     orbits = basis.orbits()
-    factors = basis.irreducible_factors()
     out = []
     for mask in range(1 << len(orbits)):
-        g = Poly.one(params.field)
-        zeros = []
-        for i, f in enumerate(factors):
-            if mask >> i & 1:
-                g = g * f
-                zeros.extend(orbits[i])
-        gen_set = ZnSet(params.n, set(range(params.n)) - set(zeros))
-        code = cd.code_from_generator(params, g, basis)
-        if code.gen_set != gen_set:
+        gen_set = [j for i, orb in enumerate(orbits) if not mask >> i & 1 for j in orb]
+        code = cd.code_from_generating_set(params, basis, gen_set)
+        if cd.code_from_generator(params, code.generator, basis).gen_set != code.gen_set:
             raise AssertionError("support disagrees with chosen orbits")
         out.append(code)
     return out
@@ -191,12 +188,14 @@ def run_grid_verification(
                 basis = fam.basis_for_lambda(lam)
                 ctxinfo = {"q": q, "n": n, "lam": lam_idx}
 
-                product = Poly.one(field)
-                for f in basis.irreducible_factors():
-                    product = product * f
-                rec.record("factorization_product", product == basis.params.xn_minus_lam, ctxinfo)
-
                 all_codes = _divisor_codes(basis)
+                # The last code has every orbit in its zero set, so its
+                # generator is the product of all the irreducible factors.
+                rec.record(
+                    "factorization_product",
+                    all_codes[-1].generator == basis.params.xn_minus_lam,
+                    ctxinfo,
+                )
                 codes_checked += len(all_codes)
                 for c in all_codes:
                     _check_single_code(c, rec, ctxinfo)

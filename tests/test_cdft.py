@@ -1,7 +1,5 @@
-import gc
 import math
 import random
-import weakref
 
 import pytest
 
@@ -9,11 +7,15 @@ from constakit import (
     BasisFamily,
     CodeParams,
     Poly,
+    basis_family,
     build_basis,
     build_field,
+    code_from_generator,
+    dual_generating_set,
     mul_mod_constacyclic,
     schur,
 )
+from constakit import cdft
 from constakit.cdft import EAGER_POWER_LIMIT, RootBasis
 from constakit.field import SQUARE_TABLE_LIMIT, TABLE_LIMIT
 
@@ -319,15 +321,20 @@ def test_build_basis_is_the_lambda_basis_of_its_order_family(f5):
         assert basis.family.basis_for_lambda(params.lam).beta_exp == basis.beta_exp
 
 
-def test_build_basis_is_freed_without_the_cycle_collector(f3):
-    gc.disable()
-    try:
-        basis = build_basis(CodeParams(f3, 4, f3.elem(2)))
-        family = weakref.ref(basis.family)
-        del basis
-        assert family() is None
-    finally:
-        gc.enable()
+def test_build_basis_is_served_from_the_family_memo(f2, f5):
+    params = CodeParams(f5, 4, f5.elem(4))  # ord(-1) = 2 < q - 1
+    basis = build_basis(params)
+    assert build_basis(params) is basis
+    assert basis.family is basis_family(f5, 4, 2)
+    assert basis.family is not basis_family(f5, 4)
+    code = code_from_generator(params, basis.irreducible_factors()[0], basis)
+    families = len(cdft._FAMILIES)
+    _, dual = dual_generating_set(code)
+    assert len(cdft._FAMILIES) == families
+    assert dual.basis.family is code.basis.family
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^length must be >= 1$"):
+            BasisFamily(f2, n)
 
 
 def test_family_rejects_foreign_lambda(f3, f5):
