@@ -19,7 +19,7 @@ therefore index the monic irreducible factors of x^n - lam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as datafield
+from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from typing import Sequence
 
@@ -44,38 +44,33 @@ def _check_length(n: int, q: int) -> None:
 class CodeParams:
     """Ambient data (field, length, constant) for one constacyclic setting.
 
-    Equality and hashing look only at the triple itself; the derived
-    orders are cached on construction because everything downstream
-    needs them, and x^n - lam on first use.
+    Equality, hashing and repr look only at the triple itself.  The derived
+    values, ord(lam), the splitting degree ord_{n*ord(lam)}(q) and
+    x^n - lam, are computed on first use and kept on the instance.
     """
 
     field: FieldCtx
     n: int
     lam: FieldElem
-    lam_order: int = datafield(init=False, compare=False, repr=False)
-    splitting_degree: int = datafield(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        ctx = self.field
-        if not isinstance(self.lam, FieldElem) or self.lam.ctx is not ctx:
+        if not isinstance(self.lam, FieldElem) or self.lam.ctx is not self.field:
             raise ValueError("lam must be an element of the given field")
         if self.lam.is_zero:
             raise ValueError("lam must be a unit")
-        q = ctx.cardinality
-        _check_length(self.n, q)
-        o = elem_order(self.lam)
-        m_root = mult_order_mod(q, self.n)
-        m_split = mult_order_mod(q, self.n * o)
-        # The n-th roots of unity live inside the splitting field of
-        # x^n - lam, so the first degree always divides the second.
-        if m_split % m_root:
-            raise AssertionError("order tower violated; field arithmetic is broken")
-        object.__setattr__(self, "lam_order", o)
-        object.__setattr__(self, "splitting_degree", m_split)
+        _check_length(self.n, self.q)
 
     @property
     def q(self) -> int:
         return self.field.cardinality
+
+    @cached_property
+    def lam_order(self) -> int:
+        return elem_order(self.lam)
+
+    @cached_property
+    def splitting_degree(self) -> int:
+        return mult_order_mod(self.q, self.n * self.lam_order)
 
     @cached_property
     def xn_minus_lam(self) -> Poly:
@@ -260,14 +255,10 @@ class RootBasis:
     def poly_to_base(self, f: Poly) -> Poly:
         """Project a splitting-field polynomial down to the base field."""
         base = self.params.field
-        if self.splitting is base:
-            return f
-        coeffs = []
-        for c in f:
-            if not self.splitting.rep_in_sub(c.rep):
-                raise RuntimeError("coefficient does not lie in the base field")
-            coeffs.append(c.project(base))
-        return Poly.from_elements(coeffs) if coeffs else Poly.zero(base)
+        try:
+            return Poly(base, [c.project(base).rep for c in f])
+        except ValueError:
+            raise RuntimeError("coefficient does not lie in the base field") from None
 
     def irreducible_factors(self) -> tuple[Poly, ...]:
         """Monic irreducible factors of x^n - lam over the base, one per orbit.

@@ -6,7 +6,8 @@ modulus m_i.  The modulus is not an input: it is always the *first* monic
 irreducible of the requested degree in the canonical ordering, so two runs
 (or two machines) always build identical towers.  Candidates are tested
 with Ben-Or's gcd test, and a level whose scan finds none among the first
-MODULUS_SCAN_BUDGET candidates is refused with ValueError.
+MODULUS_SCAN_BUDGET candidates is refused with ValueError, as is any tower
+(a prime field included) above DEFAULT_MAX_CARDINALITY = 2**64 elements.
 
 Canonical ordering.  Elements of a level correspond to integers: a
 coefficient vector (c_0, ..., c_{d-1}) over a sublevel of size S has index
@@ -25,7 +26,9 @@ Representations.  Internally an element of a level is
     Q x Q add/mul tables from those arrays and use them instead;
   * a tuple of sublevel representations otherwise.
 Subfields embed positionally: the element of index i in a sublevel is the
-element of index i upstairs, so embedding small-field scalars is free.
+element of index i upstairs, so embedding small-field scalars is free and
+projecting to a subfield K is an index check: the element lies in K iff its
+index is below |K|.
 
 Public entry points: build_field, FieldCtx, FieldElem, elem_order,
 find_element_of_order.
@@ -34,7 +37,6 @@ find_element_of_order.
 from __future__ import annotations
 
 from array import array
-from contextlib import suppress
 from typing import Iterable, Iterator, Sequence
 
 from . import numbertheory as nt
@@ -141,17 +143,17 @@ class FieldElem:
         return FieldElem(target, rep)
 
     def project(self, target: "FieldCtx") -> "FieldElem":
-        """Inverse of lift; error if the element is not in the subfield."""
+        """Inverse of lift: target's element of the same index, which must be
+        below |target|; target is this element's context or a level below."""
         c = self.ctx
-        rep = self.rep
         while c is not target:
             if c.subfield is None:
                 raise ValueError("target is not below this element's context")
-            if not c.rep_in_sub(rep):
-                raise ValueError("element does not lie in the requested subfield")
-            rep = c.project_to_sub(rep)
             c = c.subfield
-        return FieldElem(target, rep)
+        i = self.index
+        if i >= target.cardinality:
+            raise ValueError("element does not lie in the requested subfield")
+        return FieldElem(target, target.rep_from_index(i))
 
     def __eq__(self, other) -> bool:
         return (
@@ -320,16 +322,6 @@ class FieldCtx:
             return self.subfield.rep_to_index(sub_rep)
         return (sub_rep,) + (self.subfield.zero_rep,) * (self.step_degree - 1)
 
-    def rep_in_sub(self, rep) -> bool:
-        if self.kind == "tabulated":
-            return rep < self.subfield.cardinality
-        return all(c == self.subfield.zero_rep for c in rep[1:])
-
-    def project_to_sub(self, rep):
-        if self.kind == "tabulated":
-            return self.subfield.rep_from_index(rep)
-        return rep[0]
-
     def pow_rep(self, rep, e: int):
         if e < 0:
             rep = self.inv(rep)
@@ -401,14 +393,6 @@ class FieldCtx:
 _CTX_TOKEN = object()
 
 
-def _packed(values: list) -> array:
-    """The values in an array of the smallest integer typecode that holds them."""
-    for code in "bBhH":
-        with suppress(OverflowError):
-            return array(code, values)
-    return array("l", values)
-
-
 def _install_log_ops(ctx: FieldCtx, vec_mul) -> None:
     """Give a tabulated level its index-rep ops, from exp/log/Zech arrays.
 
@@ -435,8 +419,9 @@ def _install_log_ops(ctx: FieldCtx, vec_mul) -> None:
     S, sadd = sub.cardinality, sub.add
     # 1 + x differs from x only in digit 0, so it is one sublevel add.
     one_plus = [i - i % S + sadd(1, i % S) for i in powers]
-    zech = _packed([logs[j] if j else -1 for j in one_plus])
-    exp, log = _packed(powers * 2), _packed(logs)
+    # Entries lie in [-1, Q), Q <= TABLE_LIMIT; "h" raises OverflowError past 32767.
+    zech = array("h", [logs[j] if j else -1 for j in one_plus])
+    exp, log = array("h", powers * 2), array("h", logs)
     half = n1 // 2
 
     def mul(a, b):
@@ -616,33 +601,28 @@ def build_field(p: int, degrees: Sequence[int]) -> FieldCtx:
 
     Equal (p, degrees) always return the identical context object, so
     element contexts can be compared by identity.  The constructor refuses
-    towers larger than DEFAULT_MAX_CARDINALITY.
+    towers, primes included, above DEFAULT_MAX_CARDINALITY before testing p.
     """
-    if not nt.is_prime(p):
-        raise ValueError(f"{p} is not prime")
     degs = tuple(int(d) for d in degrees)
     if any(d < 1 for d in degs):
         raise ValueError("extension degrees must be >= 1")
     card = p
-    for d in degs:
+    for d in (1,) + degs:
         card **= d
         if card > DEFAULT_MAX_CARDINALITY:
             raise ValueError(
                 f"tower cardinality {card} exceeds the cap {DEFAULT_MAX_CARDINALITY}"
             )
-    key = (p, degs)
-    if key in _FIELD_CACHE:
-        return _FIELD_CACHE[key]
+    if not nt.is_prime(p):
+        raise ValueError(f"{p} is not prime")
     # Build every prefix so .subfield chains are shared and cached.
-    prime_key = (p, ())
-    if prime_key not in _FIELD_CACHE:
-        _FIELD_CACHE[prime_key] = FieldCtx._make_prime(p)
-    ctx = _FIELD_CACHE[prime_key]
-    for i, d in enumerate(degs):
-        pkey = (p, degs[: i + 1])
-        if pkey not in _FIELD_CACHE:
-            _FIELD_CACHE[pkey] = FieldCtx._make_extension(ctx, d)
-        ctx = _FIELD_CACHE[pkey]
+    ctx = None
+    for i in range(len(degs) + 1):
+        key = (p, degs[:i])
+        if key not in _FIELD_CACHE:
+            new = FieldCtx._make_extension(ctx, degs[i - 1]) if i else FieldCtx._make_prime(p)
+            _FIELD_CACHE[key] = new
+        ctx = _FIELD_CACHE[key]
     return ctx
 
 

@@ -12,7 +12,7 @@ without knowing how elements are encoded.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class Poly:
@@ -121,20 +121,9 @@ class Poly:
         return format_terms(self.ctx, self.coeffs, "x")
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            return "Poly(0)"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeff_rep(i)
-            if c == self.ctx.zero_rep:
-                continue
-            ci = self.ctx.rep_to_index(c)
-            if i == 0:
-                terms.append(f"{ci}")
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                terms.append(xs if ci == 1 else f"{ci}*{xs}")
-        return "Poly(" + " + ".join(terms) + ")"
+        """Coefficients as canonical indices, e.g. Poly(x^2 + 2*x + 1)."""
+        text = format_terms(self.ctx, self.coeffs, "x", lambda c: str(self.ctx.rep_to_index(c)))
+        return f"Poly({text})"
 
     # -- arithmetic -------------------------------------------------------
 
@@ -257,18 +246,20 @@ class Poly:
 # -- module-level operations ----------------------------------------------
 
 
-def format_terms(ctx, reps: Sequence, var: str) -> str:
+def format_terms(ctx, reps: Sequence, var: str, text: Callable | None = None) -> str:
     """Text of sum_i reps[i] * var^i over ctx, highest power first.
 
-    Zero terms are dropped, unit coefficients are left implicit, and a
-    coefficient whose own text is a sum is parenthesised.  All-zero is "0".
+    A coefficient's text is text(rep), ctx.rep_to_str by default.  Zero terms
+    are dropped, a text "1" is left implicit, and a text that is a sum is
+    parenthesised.  All-zero is "0".
     """
+    text = text or ctx.rep_to_str
     terms = []
     for i in range(len(reps) - 1, -1, -1):
         c = reps[i]
         if c == ctx.zero_rep:
             continue
-        cs = ctx.rep_to_str(c)
+        cs = text(c)
         if i == 0:
             terms.append(cs)
             continue

@@ -150,7 +150,8 @@ def test_rationality_detects_base_vectors(f9):
     for _ in range(10):
         a = [f9.elem(rng.randrange(9)) for _ in range(5)]
         spec = basis.forward(a)
-        assert spec.is_rational()
+        assert spec.is_rational() and basis.is_rational(spec)
+        assert basis.inverse(spec) == spec.inverse()
         # perturb one spectral value by a proper-extension element
         values = list(spec.values)
         values[2] = values[2] + basis.delta
@@ -431,11 +432,14 @@ def test_irreducible_factors_are_computed_once(f3):
 
 
 def test_xn_minus_lam_stays_out_of_eq_hash_and_repr(f3):
+    """So do the derived orders: all three are computed on first use only."""
     read = CodeParams(f3, 4, f3.elem(2))
     assert read.xn_minus_lam == Poly.monomial(f3, 4) - Poly(f3, [2])
     assert read.xn_minus_lam is read.xn_minus_lam
+    assert (read.lam_order, read.splitting_degree) == (2, 2)
     fresh = CodeParams(f3, 4, f3.elem(2))
-    assert "xn_minus_lam" not in vars(fresh)  # built on first use only
+    for name in ("xn_minus_lam", "lam_order", "splitting_degree"):
+        assert name not in vars(fresh) and name in vars(read)
     assert read == fresh and hash(read) == hash(fresh)
-    assert repr(read) == repr(fresh)
+    assert repr(read) == repr(fresh) == "CodeParams(q=3, n=4, lam=2)"
     assert len({read, fresh}) == 1

@@ -56,6 +56,8 @@ SPECS = {
     "error_factor_lambda_residue.json": (
         ["factor", "--p", "3", "--degrees", "2", "--n", "4", "--lambda", "[1,5]"], 2),
     "error_factor_q2_n67.json": (["factor", "--p", "2", "--n", "67", "--lambda", "1"], 2),
+    "error_factor_p_above_cap.json": (
+        ["factor", "--p", "318665857834031151167461", "--n", "2", "--lambda", "1"], 2),
     "error_product_not_divisor.json": (
         ["product", "--p", "3", "--n", "4", "--lambda", "2", "--generator", "[1,1]"], 2),
     "error_powers_zero_code.json": (

@@ -2,6 +2,7 @@ import json
 import pathlib
 import random
 import time
+from itertools import islice
 
 import pytest
 
@@ -128,6 +129,7 @@ def test_vector_kernels_match_polynomial_arithmetic(p, degrees, table_kernel):
         assert field.neg(a) == ref(-poly(a))
         s = sub.rep_from_index(rng.randrange(sub.cardinality))
         assert field.scale(a, s) == ref(poly(a) * Poly(sub, [s]))
+        assert field.scale(a, sub.zero_rep) == field.zero_rep
         if a != field.zero_rep:
             assert ref(poly(a) * poly(field.inv(a))) == field.one_rep
         for b in picks[:3] + rng.sample(picks, 5):
@@ -237,6 +239,17 @@ def test_rejects_bad_parameters():
         build_field(2, [0])
     with pytest.raises(ValueError):
         build_field(2, [200])  # cardinality cap
+    # psi_12, a strong pseudoprime to every Miller-Rabin witness, is refused
+    # by the cap, which also covers prime fields
+    with pytest.raises(ValueError, match="tower cardinality 318665857834031151167461 exceeds"):
+        build_field(318665857834031151167461, [])
+
+
+def test_largest_prime_below_the_cap_builds():
+    p = 2**64 - 59
+    field = build_field(p, [])
+    assert field.kind == "prime" and field.cardinality == p
+    assert field.elem(p - 1) * field.elem(p - 1) == field.one()
 
 
 def test_index_round_trip():
@@ -246,9 +259,15 @@ def test_index_round_trip():
         assert field.rep_to_index(e.rep) == i
         nested = field.rep_to_nested(e.rep)
         assert field.elem(nested) == e
+    vec = build_field(2, [13])  # a vector level, enumerated lazily
+    assert vec.kind == "vector"
+    for i, e in enumerate(islice(vec.elements(), 40)):
+        assert e.index == i
+        assert vec.elem(vec.rep_to_nested(e.rep)) == e
 
 
 def test_lift_and_project():
+    f2 = build_field(2, [])
     f3 = build_field(3, [])
     f9 = f3.extend(2)
     for i in range(3):
@@ -257,8 +276,25 @@ def test_lift_and_project():
         assert lifted.ctx is f9
         assert lifted.project(f3) == a
     y = f9.elem([0, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not lie in the requested subfield"):
         y.project(f3)
+    # two levels, tabulated GF(4) under the vector level GF(4)^7, and F_2
+    # under the vector level GF(2^13)
+    f4 = build_field(2, [2])
+    f4_7, f2_13 = f4.extend(7), build_field(2, [13])
+    assert (f4.kind, f4_7.kind, f2_13.kind) == ("tabulated", "vector", "vector")
+    for sub, top in ((f4, f4_7), (f2, f2_13), (f2, f4_7)):
+        for a in sub.elements():
+            lifted = a.lift(top)
+            assert lifted.ctx is top and lifted.index == a.index
+            assert lifted.project(sub) == a
+    with pytest.raises(ValueError, match="does not lie in the requested subfield"):
+        f4_7.elem(4).project(f4)
+    with pytest.raises(ValueError, match="does not lie in the requested subfield"):
+        f4.elem(2).lift(f4_7).project(f2)
+    for elem, target in ((f3.one(), f9), (f9.one(), f2), (f4.one(), f2_13)):
+        with pytest.raises(ValueError, match="target is not below"):
+            elem.project(target)
 
 
 def test_cross_field_operations_refuse():

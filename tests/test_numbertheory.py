@@ -18,9 +18,12 @@ def test_is_prime_known_primes(p):
     assert is_prime(p)
 
 
-@pytest.mark.parametrize("n", [561, 1105, 1729, 2465, 2821, 6601])
+@pytest.mark.parametrize("n", [561, 1105, 1729, 2465, 2821, 6601, 3215031751, 3825123056546413051])
 def test_is_prime_rejects_carmichael(n):
-    # classic pseudoprime traps for weak probabilistic tests
+    # classic pseudoprime traps for weak probabilistic tests; the Carmichael
+    # numbers have a factor <= 37 and fall to trial division, while the last
+    # two, strong pseudoprimes to 2 ... 7 and to 2 ... 31 with every factor
+    # above 37, are rejected only by a later Miller-Rabin witness (11, 37)
     assert not is_prime(n)
 
 
@@ -36,6 +39,16 @@ def test_factorint_reassembles():
 
 def test_factorint_of_one():
     assert factorint(1) == {}
+
+
+@pytest.mark.parametrize("n,expected", [
+    (2**59 - 1, {179951: 1, 3203431780337: 1}),
+    (1000003 * 1000033, {1000003: 1, 1000033: 1}),
+    (2**64 - 1, {3: 1, 5: 1, 17: 1, 257: 1, 641: 1, 65537: 1, 6700417: 1}),
+])
+def test_factorint_past_trial_division(n, expected):
+    """Factors above the trial-division bound (100,000) come from Brent's rho."""
+    assert factorint(n) == expected
 
 
 def test_divisors_ascending():

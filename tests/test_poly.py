@@ -43,6 +43,9 @@ def test_coefficients_ascending(f3):
     assert p[2] == f3.one()
     assert p[17].is_zero  # reads past the end are zero
     assert p.indices() == (2, 1, 1)
+    assert repr(p) == "Poly(x^2 + x + 2)"
+    assert repr(Poly(f3, [0, 2])) == "Poly(2*x)"
+    assert repr(Poly.zero(f3)) == "Poly(0)"
 
 
 def test_iteration_stops(f3):
