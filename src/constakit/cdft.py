@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from typing import Sequence
 
-from .field import FieldCtx, FieldElem, elem_order, find_element_of_order
+from .field import DEFAULT_MAX_CARDINALITY, FieldCtx, FieldElem, elem_order, find_element_of_order
 from .numbertheory import mult_order_mod
 from .poly import Poly
 from .zn import ZnSet
@@ -351,6 +351,10 @@ class BasisFamily:
         self.n = n
         self.xi_exp = o
         self.delta_order = e = n * o
+        if e >= DEFAULT_MAX_CARDINALITY:  # delta's order e divides Q - 1
+            raise ValueError(
+                f"a splitting field for n*o >= 2**64 exceeds the cap {DEFAULT_MAX_CARDINALITY}"
+            )
         m = mult_order_mod(q, e)
         self.splitting = spl = field if m == 1 else field.extend(m)
         self.delta = find_element_of_order(spl, e)

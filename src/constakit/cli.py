@@ -51,7 +51,7 @@ class Report(NamedTuple):
 def parse_element(field: FieldCtx, obj):
     """Element from an int (constant) or a coefficient array over F_p."""
     if type(obj) is int:
-        return build_field(field.p, []).elem(obj % field.p).lift(field)
+        return field.elem(obj % field.p)
     if isinstance(obj, list):
         return field.elem(obj)
     raise CliError(f"not a field element: {obj!r}")

@@ -29,10 +29,13 @@ class ConstaCode:
     __slots__ = ("params", "generator", "basis", "gen_set")
 
     def __init__(self, params: CodeParams, generator: Poly, basis: RootBasis, gen_set: ZnSet):
-        self.params = params
-        self.generator = generator
-        self.basis = basis
-        self.gen_set = gen_set
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "gen_set", gen_set)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ConstaCode is immutable")
 
     @property
     def dim(self) -> int:

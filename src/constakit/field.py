@@ -30,6 +30,10 @@ element of index i upstairs, so embedding small-field scalars is free and
 projecting to a subfield K is an index check: the element lies in K iff its
 index is below |K|.
 
+Orders.  elem_order strips primes from Q - 1 (numbertheory.order_from_multiple);
+_first_of_order is the one "first candidate of order exactly e" scan, which
+picks find_element_of_order's result and each tabulated level's generator.
+
 Public entry points: build_field, FieldCtx, FieldElem, elem_order,
 find_element_of_order.
 """
@@ -208,7 +212,6 @@ class FieldCtx:
         if p <= SQUARE_TABLE_LIMIT:
             ctx._add_t = [[ctx.add(a, b) for b in range(p)] for a in range(p)]
             ctx._mul_t = [[mul(a, b) for b in range(p)] for a in range(p)]
-        ctx._unit_factors = None
         return ctx
 
     @staticmethod
@@ -220,7 +223,6 @@ class FieldCtx:
         ctx.step_degree = degree
         ctx.cardinality = sub.cardinality**degree
         ctx.modulus = _first_irreducible(sub, degree)
-        ctx._unit_factors = None
 
         d = degree
         # y**(d+i) mod modulus, as length-d coefficient tuples over sub.
@@ -328,11 +330,6 @@ class FieldCtx:
             e = -e
         return square_and_multiply(self.mul, self.one_rep, rep, e)
 
-    def iter_reps(self) -> Iterator:
-        if self.kind == "vector":
-            return (self._vec_from_index(i) for i in range(self.cardinality))
-        return iter(range(self.cardinality))
-
     def rep_to_str(self, rep) -> str:
         if self.kind == "prime":
             return str(rep)
@@ -363,7 +360,7 @@ class FieldCtx:
         return FieldElem(self, self.one_rep)
 
     def elements(self) -> Iterator[FieldElem]:
-        return (FieldElem(self, r) for r in self.iter_reps())
+        return (FieldElem(self, self.rep_from_index(i)) for i in range(self.cardinality))
 
     def extend(self, degree: int) -> "FieldCtx":
         return build_field(self.p, list(self.degrees) + [degree])
@@ -405,10 +402,7 @@ def _install_log_ops(ctx: FieldCtx, vec_mul) -> None:
     Q, sub, one = ctx.cardinality, ctx.subfield, ctx._vec_one
     vec_to_index, vec_from_index = ctx._vec_to_index, ctx._vec_from_index
     n1 = Q - 1
-    cofactors = [n1 // r for r in nt.factorint(n1)]
-    for g in map(vec_from_index, range(1, Q)):
-        if all(square_and_multiply(vec_mul, one, g, e) != one for e in cofactors):
-            break
+    g = _first_of_order(map(vec_from_index, range(1, Q)), vec_mul, one, n1)
     powers, x = [], one
     for _ in range(n1):
         powers.append(vec_to_index(x))
@@ -601,18 +595,19 @@ def build_field(p: int, degrees: Sequence[int]) -> FieldCtx:
 
     Equal (p, degrees) always return the identical context object, so
     element contexts can be compared by identity.  The constructor refuses
-    towers, primes included, above DEFAULT_MAX_CARDINALITY before testing p.
+    towers, primes included, above DEFAULT_MAX_CARDINALITY before testing p,
+    and decides from bit lengths past 2**128, so it never forms a huge power.
     """
     degs = tuple(int(d) for d in degrees)
     if any(d < 1 for d in degs):
         raise ValueError("extension degrees must be >= 1")
     card = p
     for d in (1,) + degs:
-        card **= d
-        if card > DEFAULT_MAX_CARDINALITY:
-            raise ValueError(
-                f"tower cardinality {card} exceeds the cap {DEFAULT_MAX_CARDINALITY}"
-            )
+        # card**d >= 2**((card.bit_length() - 1) * d): past 2**128 it is not formed
+        card = card**d if (card.bit_length() - 1) * d <= 128 else None
+        if card is None or card > DEFAULT_MAX_CARDINALITY:
+            size = "above 2**128" if card is None else card
+            raise ValueError(f"tower cardinality {size} exceeds the cap {DEFAULT_MAX_CARDINALITY}")
     if not nt.is_prime(p):
         raise ValueError(f"{p} is not prime")
     # Build every prefix so .subfield chains are shared and cached.
@@ -626,29 +621,21 @@ def build_field(p: int, degrees: Sequence[int]) -> FieldCtx:
     return ctx
 
 
-def _unit_factors(ctx: FieldCtx) -> dict[int, int]:
-    if ctx._unit_factors is None:
-        ctx._unit_factors = nt.factorint(ctx.cardinality - 1)
-    return ctx._unit_factors
-
-
 def elem_order(x: FieldElem) -> int:
     """Multiplicative order of a nonzero field element."""
     if x.is_zero:
         raise ValueError("zero has no multiplicative order")
-    ctx = x.ctx
-    order = ctx.cardinality - 1
-    rep = x.rep
-    for r in _unit_factors(ctx):
-        while order % r == 0 and ctx.pow_rep(rep, order // r) == ctx.one_rep:
-            order //= r
-    return order
+    return nt.order_from_multiple(x.rep, x.ctx.cardinality - 1, x.ctx.pow_rep, x.ctx.one_rep)
 
 
-def _order_is(ctx: FieldCtx, rep, e: int, e_factors: dict[int, int]) -> bool:
-    if ctx.pow_rep(rep, e) != ctx.one_rep:
-        return False
-    return all(ctx.pow_rep(rep, e // r) != ctx.one_rep for r in e_factors)
+def _first_of_order(candidates: Iterable, mul, one, e: int):
+    """The first of candidates, each with x**e = one, whose order is exactly e:
+    x**(e/r) != one for every prime r dividing e."""
+    cofactors = [e // r for r in nt.factorint(e)]
+    for x in candidates:
+        if all(square_and_multiply(mul, one, x, c) != one for c in cofactors):
+            return x
+    raise RuntimeError("no element of the requested order; unreachable")
 
 
 def find_element_of_order(ctx: FieldCtx, e: int) -> FieldElem:
@@ -666,17 +653,11 @@ def find_element_of_order(ctx: FieldCtx, e: int) -> FieldElem:
         raise ValueError("order must be >= 1")
     if (Q - 1) % e != 0:
         raise ValueError(f"no element of order {e}: it does not divide {Q - 1}")
-    e_factors = nt.factorint(e) if e > 1 else {}
     if Q <= SCAN_LIMIT:
-        for i in range(1, Q):
-            rep = ctx.rep_from_index(i)
-            if _order_is(ctx, rep, e, e_factors):
-                return FieldElem(ctx, rep)
-        raise RuntimeError("no element of the requested order; unreachable")
-    cofactor = (Q - 1) // e
-    S = ctx.subfield.cardinality if ctx.subfield else 1
-    for i in range(1 if (S - 1) % e == 0 else S, Q):
-        rep = ctx.pow_rep(ctx.rep_from_index(i), cofactor)
-        if _order_is(ctx, rep, e, e_factors):
-            return FieldElem(ctx, rep)
-    raise RuntimeError("no element of the requested order; unreachable")
+        reps = map(ctx.rep_from_index, range(1, Q))
+        candidates = (x for x in reps if ctx.pow_rep(x, e) == ctx.one_rep)
+    else:
+        S = ctx.subfield.cardinality if ctx.subfield else 1
+        hs = map(ctx.rep_from_index, range(1 if (S - 1) % e == 0 else S, Q))
+        candidates = (ctx.pow_rep(h, (Q - 1) // e) for h in hs)
+    return FieldElem(ctx, _first_of_order(candidates, ctx.mul, ctx.one_rep, e))

@@ -2,6 +2,7 @@
 
 Everything here is deterministic.  Sizes are modest (group orders of
 desk-scale fields, so < 2**64); trial division plus Brent's rho is plenty.
+order_from_multiple is the one order routine, for (Z/n)^* and field unit groups.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ def is_prime(n: int) -> bool:
 
 def _brent_rho(n: int) -> int:
     """One nontrivial factor of composite odd n, deterministic seed sweep."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -86,8 +85,6 @@ def factorint(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
@@ -107,6 +104,16 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+def order_from_multiple(x, m: int, power, one) -> int:
+    """Order of x in a group where x**m = one: strip each prime r from m while
+    x**(m/r) = one.  power(x, k) computes x**k."""
+    order = m
+    for r in factorint(m):
+        while order % r == 0 and power(x, order // r) == one:
+            order //= r
+    return order
+
+
 def mult_order_mod(a: int, n: int) -> int:
     """Multiplicative order of a modulo n.  Requires gcd(a, n) = 1."""
     if n < 1:
@@ -116,14 +123,8 @@ def mult_order_mod(a: int, n: int) -> int:
     a %= n
     if math.gcd(a, n) != 1:
         raise ValueError(f"gcd({a}, {n}) != 1, order undefined")
-    # Exponent of the unit group: lcm of local exponents would do, but the
-    # group order via Euler phi is simpler and the reduction loop below
-    # strips it down to the exact order anyway.
+    # Euler's phi(n) is a multiple of every unit's order.
     phi = 1
     for p, e in factorint(n).items():
         phi *= (p - 1) * p ** (e - 1)
-    order = phi
-    for p in factorint(phi):
-        while order % p == 0 and pow(a, order // p, n) == 1:
-            order //= p
-    return order
+    return order_from_multiple(a, phi, lambda x, k: pow(x, k, n), 1)

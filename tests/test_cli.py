@@ -362,7 +362,20 @@ def test_console_entry_point(cli_env):
     (["factor", "--p", "3", "--n", "4", "--lambda", "2", "--format", "xml"],
      "argument --format: invalid choice: 'xml'"),
     ([], "the following arguments are required: command"),
-], ids=["grid-n-type", "missing-args", "format-choice", "no-command"])
+    (["factor", "--p", "3", "--n", "4", "--lambda", '"a"'], "not a field element: 'a'"),
+    (["product", "--p", "3", "--n", "4", "--lambda", "2", "--generator", "5"],
+     "a polynomial is a list of coefficients, got 5"),
+    (["product", "--p", "3", "--n", "4", "--lambda", "2", "--lambda", "2", "--lambda", "2",
+      "--generator", "[2,1,1]"], "--lambda must appear once, or once per code"),
+    (["powers", "--p", "2", "--n", "7", "--lambda", "1", "--generator", "[1,1]",
+      "--gen-set", "[0]"], "give the code as --generator or --gen-set, not both"),
+    (["powers", "--p", "2", "--n", "7", "--lambda", "1"],
+     "give the code as --generator or --gen-set"),
+    (["verify", "--grid-q", "6", "--grid-n", "4"], "6 is not a prime power"),
+    (["verify", "--grid-n", "0"], "--grid-n must be >= 1"),
+], ids=["grid-n-type", "missing-args", "format-choice", "no-command", "lambda-string",
+        "generator-int", "three-lambdas", "powers-both-codes", "powers-no-code",
+        "grid-q-int", "grid-n-zero"])
 def test_argument_errors_are_json(capsys, argv, message):
     rc = main(argv)
     captured = capsys.readouterr()

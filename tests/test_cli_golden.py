@@ -2,13 +2,16 @@
 
 Each spec is a `constakit` argument list and its exit code; its expected
 stdout lives in tests/golden/<name>.  Bad input is pinned too: exit 2 with
-a JSON error object.  To re-capture after an intended output change, run
-`PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
+a JSON error object, under a DEADLINE_S alarm, so that a refusal that does
+not come fails the test instead of hanging the suite.  To re-capture after
+an intended output change, run `PYTHONPATH=src python
+tests/test_cli_golden.py` and review the diff.
 """
 
 import contextlib
 import io
 import pathlib
+import signal
 import sys
 
 import pytest
@@ -16,6 +19,7 @@ import pytest
 from constakit.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+DEADLINE_S = 10
 
 _FACTOR_README = ["factor", "--p", "3", "--n", "4", "--lambda", "2"]
 _FACTOR_BINARY = ["factor", "--p", "2", "--n", "15", "--lambda", "1"]
@@ -47,6 +51,7 @@ SPECS = {
     "verify_q8_q9_n5.csv": (_VERIFY_TABULATED + ["--format", "csv"], 0),
     "verify_q8_q9_n5.txt": (_VERIFY_TABULATED + ["--format", "text"], 0),
     "product_q2_n7_hamming.csv": (_PRODUCT + ["--format", "csv"], 0),
+    "product_q2_n7_hamming_oracle.json": (_PRODUCT[:-1] + ["oracle"], 0),
     "powers_q2_n7_gen_set.json": (_POWERS_GEN_SET, 0),
     "error_factor_p4.json": (["factor", "--p", "4", "--n", "3", "--lambda", "1"], 2),
     "error_factor_degrees0.json": (
@@ -63,7 +68,25 @@ SPECS = {
     "error_powers_zero_code.json": (
         ["powers", "--p", "2", "--n", "3", "--lambda", "1", "--generator", "[1,0,0,1]"], 2),
     "error_verify_q6.json": (["verify", "--grid-q", "[6]", "--grid-n", "4"], 2),
+    # n >= 2**64: refused before ord_n(2), let alone 2**ord_n(2), is computed
+    "error_factor_q2_n1e30.json": (
+        ["factor", "--p", "2", "--n", "1000000000000000000000000000001", "--lambda", "1"], 2),
+    # 2**20000: refused from bit lengths, without printing a 6,021-digit number
+    "error_factor_degrees20000.json": (
+        ["factor", "--p", "2", "--degrees", "20000", "--n", "3", "--lambda", "1"], 2),
+    # n = 100000000000000000039 * 300000000000000000053: refused before it is factored
+    "error_factor_n_semiprime.json": (
+        ["factor", "--p", "2", "--n", "30000000000000000017000000000000000002067",
+         "--lambda", "1"], 2),
 }
+
+
+class _Deadline(Exception):
+    """Not a ValueError or OSError, so main does not turn it into exit 2."""
+
+
+def _raise_deadline(signum, frame):
+    raise _Deadline(f"no answer within {DEADLINE_S} s")
 
 
 def _run(argv) -> tuple[int, bytes]:
@@ -76,7 +99,15 @@ def _run(argv) -> tuple[int, bytes]:
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_cli_output_matches_golden(name):
     argv, expected_rc = SPECS[name]
-    rc, out = _run(argv)
+    if expected_rc == 2:
+        previous = signal.signal(signal.SIGALRM, _raise_deadline)
+        signal.alarm(DEADLINE_S)
+    try:
+        rc, out = _run(argv)
+    finally:
+        if expected_rc == 2:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
     assert rc == expected_rc
     assert out == (GOLDEN / name).read_bytes()
 

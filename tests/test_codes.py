@@ -106,6 +106,15 @@ def test_codes_hash_by_identity_content(f3, negacyclic_example):
     assert len({again, negacyclic_example}) == 1
 
 
+def test_codes_are_immutable(f3, negacyclic_example):
+    held = {negacyclic_example}
+    for name in ("params", "generator", "basis", "gen_set"):
+        with pytest.raises(AttributeError, match="ConstaCode is immutable"):
+            setattr(negacyclic_example, name, Poly.one(f3))
+    assert negacyclic_example in held
+    assert negacyclic_example.dim == len(negacyclic_example.gen_set) == 2
+
+
 # -- duals ----------------------------------------------------------------
 
 

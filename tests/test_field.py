@@ -12,11 +12,13 @@ from constakit.field import (
     _FIELD_CACHE,
     SQUARE_TABLE_LIMIT,
     TABLE_LIMIT,
+    FieldCtx,
     FieldElem,
     _first_irreducible,
     _is_irreducible,
     _vector_ops,
 )
+from constakit.numbertheory import divisors
 
 MODULI_GOLDEN = pathlib.Path(__file__).parent / "golden" / "moduli.json"
 
@@ -243,6 +245,12 @@ def test_rejects_bad_parameters():
     # by the cap, which also covers prime fields
     with pytest.raises(ValueError, match="tower cardinality 318665857834031151167461 exceeds"):
         build_field(318665857834031151167461, [])
+    # past 2**128 the cap is decided from bit lengths; 2**(10**30) is never formed
+    for p, degrees in ((2, [10**30]), (2**200 + 1, []), (3, [2, 10**30])):
+        with pytest.raises(ValueError, match=r"above 2\*\*128 exceeds the cap"):
+            build_field(p, degrees)
+    with pytest.raises(TypeError, match="use build_field"):
+        FieldCtx()
 
 
 def test_largest_prime_below_the_cap_builds():
@@ -295,6 +303,8 @@ def test_lift_and_project():
     for elem, target in ((f3.one(), f9), (f9.one(), f2), (f4.one(), f2_13)):
         with pytest.raises(ValueError, match="target is not below"):
             elem.project(target)
+    with pytest.raises(ValueError, match="target is not an extension"):
+        f9.one().lift(f3)
 
 
 def test_cross_field_operations_refuse():
@@ -302,6 +312,8 @@ def test_cross_field_operations_refuse():
     f9 = build_field(3, [2])
     with pytest.raises(ValueError):
         f4.one() + f9.one()
+    with pytest.raises(TypeError, match="cannot combine FieldElem with int"):
+        f4.one() + 1
 
 
 def test_scalar_action_matches_lifted_multiplication():
@@ -315,12 +327,33 @@ def test_scalar_action_matches_lifted_multiplication():
         assert scaled == a * s.lift(f16)
 
 
+#: GF(4), GF(8), GF(16), GF(25), GF(27) and GF(4)^2, small enough to brute-force.
+SMALL_FIELDS = [(2, [2]), (2, [3]), (2, [4]), (5, [2]), (3, [3]), (2, [2, 2])]
+SMALL_FIELD_NAMES = ["GF4", "GF8", "GF16", "GF25", "GF27", "GF4^2"]
+
+
+def brute_orders(field):
+    """{index: least k >= 1 with x**k = 1} for every unit x, by repeated multiplication."""
+    orders = {}
+    for x in list(field.elements())[1:]:
+        k, y = 1, x
+        while y != field.one():
+            k, y = k + 1, y * x
+        orders[x.index] = k
+    return orders
+
+
 def test_elem_order():
     f9 = build_field(3, [2])
     orders = sorted(elem_order(a) for a in f9.elements() if not a.is_zero)
     # multiplicative group is cyclic of order 8
     assert orders.count(8) == 4
     assert max(orders) == 8
+    for p, degrees in SMALL_FIELDS:
+        field = build_field(p, degrees)
+        assert {x.index: elem_order(x) for x in list(field.elements())[1:]} == brute_orders(field)
+    with pytest.raises(ValueError, match="zero has no multiplicative order"):
+        elem_order(f9.zero())
 
 
 @pytest.mark.parametrize("order", [1, 2, 4, 8])
@@ -330,10 +363,21 @@ def test_find_element_of_order(order):
     assert elem_order(a) == order
 
 
+@pytest.mark.parametrize("p,degrees", SMALL_FIELDS, ids=SMALL_FIELD_NAMES)
+def test_find_element_of_order_is_the_lowest_unit_of_that_order(p, degrees):
+    field = build_field(p, degrees)
+    orders = brute_orders(field)
+    for e in divisors(field.cardinality - 1):
+        lowest = min(i for i, k in orders.items() if k == e)
+        assert find_element_of_order(field, e).index == lowest
+
+
 def test_find_element_of_order_impossible():
     f9 = build_field(3, [2])
     with pytest.raises(ValueError):
         find_element_of_order(f9, 3)
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        find_element_of_order(f9, 0)
 
 
 def test_pow_rep_negative_exponent():
@@ -353,6 +397,9 @@ def test_elem_rejects_foreign_and_junk():
         f4.elem([1])  # wrong coefficient count
     with pytest.raises(ValueError):
         f4.elem([True, 0])  # a bool is not a residue
+    assert f4.elem(f4.one()) == f4.one()
+    with pytest.raises(ValueError, match="element belongs to a different context"):
+        f4.elem(build_field(2, [3]).one())
 
 
 @pytest.mark.parametrize("p,degrees,kind", [
@@ -374,12 +421,16 @@ def test_str_forms():
     assert f9.rep_to_str(f9.zero_rep) == "0"
     f3 = build_field(3, [])
     assert f3.rep_to_str(f3.elem(2).rep) == "2"
+    # levels past the fourth are named t5, t6, ...
+    level5 = build_field(2, [1, 1, 1, 1, 2])
+    assert level5.rep_to_str(level5.elem(3).rep) == "t5 + 1"
 
 
 def test_elements_are_hashable_and_slotless():
     f4 = build_field(2, [2])
     seen = {a for a in f4.elements()}
     assert len(seen) == 4
+    assert f4.one() and not f4.zero()
     with pytest.raises(AttributeError):
         f4.one().stray = 1
     assert isinstance(f4.one(), FieldElem)
