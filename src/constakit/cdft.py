@@ -88,7 +88,10 @@ class RootBasis:
     shift t with xi^t = beta^(q-1) is s*(q-1)/o mod n, because o divides
     q - 1.  Every point is a power of delta, so products of points and
     their inverses never require a field inversion or discrete logarithm,
-    only exponent arithmetic mod e.  Bases are made by their family.
+    only exponent arithmetic mod e.  Bases are made by their family.  A
+    basis keeps the codes built on it in `_codes` for as long as it lives:
+    code_from_generator keys them by generator Poly, code_from_generating_set
+    by ZnSet, and each reads only its own keys.
     """
 
     __slots__ = (
@@ -99,6 +102,7 @@ class RootBasis:
         "_point_exp",
         "_orbits",
         "_factors",
+        "_codes",
     )
 
     def __init__(self, family: BasisFamily, s: int):
@@ -112,6 +116,7 @@ class RootBasis:
         self._point_exp = tuple((o * j + s) % e for j in range(n))
         self._orbits = None
         self._factors = None
+        self._codes = {}
 
     splitting = property(lambda self: self.family.splitting)
     delta = property(lambda self: self.family.delta)

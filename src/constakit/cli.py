@@ -180,7 +180,7 @@ def _collect_codes(args, field: FieldCtx) -> list:
 
 
 def _product_report(method: str, code: cd.ConstaCode, oracle: tuple | None) -> dict:
-    """One method's product; agrees_with_oracle is None when the oracle was not run."""
+    """One method's product; agrees_with_oracle is None when a method runs alone."""
     return {
         "method": method,
         "generator": poly_out(code.generator),
@@ -191,22 +191,23 @@ def _product_report(method: str, code: cd.ConstaCode, oracle: tuple | None) -> d
 
 
 def _products(method: str, c1: cd.ConstaCode, c2: cd.ConstaCode) -> tuple[dict, int]:
+    """The methods' product reports; a single method runs alone, unchecked."""
     spectral = {"sumset": cd.schur_product_sumset, "gcd": cd.schur_product_gcd}
     if method in spectral:
         return {"reports": [_product_report(method, spectral[method](c1, c2), None)]}, 0
+    basis = cd.product_basis(c1, c2)
+    oracle = oracle_schur_product(c1, c2)
+    oracle_code = cd.code_from_generator(basis.params, oracle[1], basis)
+    if method == "oracle":
+        return {"reports": [_product_report(method, oracle_code, None)]}, 0
     by_sum = cd.schur_product_sumset(c1, c2)
     by_gcd = cd.schur_product_gcd(c1, c2)
-    oracle = oracle_schur_product(c1, c2)
-    oracle_code = cd.code_from_generator(by_sum.params, oracle[1], by_sum.basis)
 
     reports = {
         "sumset": _product_report("sumset", by_sum, oracle),
         "gcd": _product_report("gcd", by_gcd, oracle),
         "oracle": _product_report("oracle", oracle_code, oracle),
     }
-    if method != "all":
-        rep = reports[method]
-        return {"reports": [rep]}, 0 if rep["agrees_with_oracle"] else 1
     agree = all(r["agrees_with_oracle"] for r in reports.values()) and (
         by_sum.gen_set == by_gcd.gen_set == oracle_code.gen_set
     )

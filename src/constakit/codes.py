@@ -26,13 +26,14 @@ from .zn import ZnSet, fourier_bias, iterated_sumset, smallest_coset, sumset
 class ConstaCode:
     """An immutable constacyclic code, identified by (params, generator)."""
 
-    __slots__ = ("params", "generator", "basis", "gen_set")
+    __slots__ = ("params", "generator", "basis", "gen_set", "_pattern")
 
     def __init__(self, params: CodeParams, generator: Poly, basis: RootBasis, gen_set: ZnSet):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "gen_set", gen_set)
+        object.__setattr__(self, "_pattern", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ConstaCode is immutable")
@@ -76,7 +77,13 @@ def _resolve_basis(params: CodeParams, basis: RootBasis | None) -> RootBasis:
 def code_from_generator(
     params: CodeParams, g: Poly, basis: RootBasis | None = None
 ) -> ConstaCode:
-    """The code generated by a monic divisor g of x^n - lam."""
+    """The code generated by a monic divisor g of x^n - lam.
+
+    A given basis is asked first; its memo keeps the code under g once g
+    has passed every check below and the transform has given its support.
+    """
+    if basis is not None and basis.params == params and g in basis._codes:
+        return basis._codes[g]
     if g.ctx is not params.field:
         raise ValueError("generator is over the wrong field")
     if not g.is_monic:
@@ -91,7 +98,7 @@ def code_from_generator(
         gen_set = basis.forward_poly(g).support()
     if len(gen_set) != params.n - g.degree:
         raise AssertionError("support size disagrees with degree; basis is broken")
-    return ConstaCode(params, g, basis, gen_set)
+    return basis._codes.setdefault(g, ConstaCode(params, g, basis, gen_set))
 
 
 def code_from_generating_set(
@@ -102,7 +109,9 @@ def code_from_generating_set(
     The complement must be closed under j -> q*j + t; otherwise no code
     over F_q has this generating set and the offending index is named.
     The complement is then a union of orbits, and the generator is the
-    product of their irreducible factors, which the basis caches.
+    product of their irreducible factors, which the basis caches.  The
+    basis's memo keeps the code under its ZnSet once both steps are done;
+    codes built from a generator are never read here.
     """
     basis = _resolve_basis(params, basis)
     n, q, t = params.n, params.q, basis.frobenius_shift
@@ -110,6 +119,8 @@ def code_from_generating_set(
         gen_set = ZnSet(n, gen_set)
     elif gen_set.n != n:
         raise ValueError(f"generating set lives in Z_{gen_set.n}, expected Z_{n}")
+    if gen_set in basis._codes:
+        return basis._codes[gen_set]
     zeros = gen_set.complement()
     for j in zeros:
         image = (q * j + t) % n
@@ -122,7 +133,7 @@ def code_from_generating_set(
     for orb, f in zip(basis.orbits(), basis.irreducible_factors()):
         if orb[0] in zeros:
             g = g * f
-    return ConstaCode(params, g, basis, gen_set)
+    return basis._codes.setdefault(gen_set, ConstaCode(params, g, basis, gen_set))
 
 
 # -- duality ------------------------------------------------------------
@@ -185,20 +196,21 @@ def pattern_polynomial(c: ConstaCode) -> PatternPoly:
     within G (the one smallest_coset finds); v = n means the support
     spreads over all of Z_n and the pattern is trivial.  Otherwise alpha
     is the ratio g_v / g_0, which is well defined because the core factor
-    of g has degree below v.
+    of g has degree below v.  Computed on the first call, kept on the code.
     """
     if c.is_zero:
         raise ValueError("the zero code has no pattern polynomial")
-    ctx = c.params.field
-    n = c.params.n
-    v = len(smallest_coset(c.gen_set)[1])
-    if v == n:
-        return PatternPoly(n, n, ctx.one())
-    g = c.generator
-    alpha = g[v] / g[0]
-    if alpha.is_zero:
-        raise AssertionError("degenerate generator lost its x^v coefficient")
-    return PatternPoly(n, v, alpha)
+    if c._pattern is None:
+        n = c.params.n
+        v = len(smallest_coset(c.gen_set)[1])
+        alpha = c.params.field.one()
+        if v != n:
+            g = c.generator
+            alpha = g[v] / g[0]
+            if alpha.is_zero:
+                raise AssertionError("degenerate generator lost its x^v coefficient")
+        object.__setattr__(c, "_pattern", PatternPoly(n, v, alpha))
+    return c._pattern
 
 
 def core_code(c: ConstaCode) -> ConstaCode:
@@ -216,11 +228,10 @@ def core_code(c: ConstaCode) -> ConstaCode:
     if not rem.is_zero:
         raise RuntimeError("pattern does not divide the generator")
     gbar = gbar.monic()
-    lam_core = pat.alpha.inverse()
-    params = CodeParams(c.params.field, pat.v, lam_core)
-    if not gbar.divides(params.xn_minus_lam):
+    basis = basis_family(c.params.field, pat.v).basis_for_lambda(pat.alpha.inverse())
+    if not gbar.divides(basis.params.xn_minus_lam):
         raise RuntimeError("core generator does not divide x^v - 1/alpha")
-    return code_from_generator(params, gbar)
+    return code_from_generator(basis.params, gbar, basis)
 
 
 # -- componentwise products ----------------------------------------------
@@ -238,18 +249,18 @@ def _family_exponent(c: ConstaCode) -> tuple[BasisFamily, int]:
     return fam, c.basis.beta_exp
 
 
-def _product_setup(c1: ConstaCode, c2: ConstaCode):
+def product_basis(c1: ConstaCode, c2: ConstaCode) -> RootBasis:
+    """The family basis of c1 o c2, beta = beta1 * beta2."""
     if c1.params.field is not c2.params.field or c1.params.n != c2.params.n:
         raise ValueError("codes must share field and length")
     fam, s1 = _family_exponent(c1)
     _, s2 = _family_exponent(c2)
-    basis = fam.basis_for_exponent(s1 + s2)
-    return fam, basis
+    return fam.basis_for_exponent(s1 + s2)
 
 
 def schur_product_sumset(c1: ConstaCode, c2: ConstaCode) -> ConstaCode:
     """Componentwise product code, computed as G1 + G2 w.r.t. beta1*beta2."""
-    _, basis = _product_setup(c1, c2)
+    basis = product_basis(c1, c2)
     g3 = sumset(c1.gen_set, c2.gen_set)
     return code_from_generating_set(basis.params, basis, g3)
 
@@ -263,7 +274,7 @@ def schur_product_gcd(
     with g = g1*s mod (x^n - lam1) for any s coprime to (x^n - lam1)/g1
     (s = 1 when omitted).  The rows stop once the gcd reaches 1.
     """
-    _, basis = _product_setup(c1, c2)
+    basis = product_basis(c1, c2)
     params3 = basis.params
     n = params3.n
     ctx = params3.field

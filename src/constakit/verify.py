@@ -43,13 +43,19 @@ class _Recorder:
         self.failures = 0
         self.first = None
 
-    def record(self, name: str, ok: bool, context: dict):
+    def record(self, name: str, ok: bool, context, **extra):
+        """Count one check; context() builds the details of a first failure."""
         self.checks[name] = self.checks.get(name, 0) + 1
         if not ok:
             self.failures += 1
             self.failed[name] = self.failed.get(name, 0) + 1
             if self.first is None:
-                self.first = {"check": name, **context}
+                self.first = {"check": name, **context(), **extra}
+
+
+def _context(ctxinfo: dict, **codes):
+    """The grid point plus each code's generator indices, built only when called."""
+    return lambda: {**ctxinfo, **{k: list(c.generator.indices()) for k, c in codes.items()}}
 
 
 def _divisor_codes(basis) -> list[cd.ConstaCode]:
@@ -73,7 +79,7 @@ def _divisor_codes(basis) -> list[cd.ConstaCode]:
 def _check_single_code(c: cd.ConstaCode, rec: _Recorder, ctxinfo: dict) -> None:
     params = c.params
     n, q = params.n, params.q
-    info = {**ctxinfo, "g": list(c.generator.indices())}
+    info = _context(ctxinfo, g=c)
 
     # block structure: G a union of cosets of <n/v> iff g uses only
     # exponents divisible by v, for every proper divisor v of n
@@ -83,7 +89,7 @@ def _check_single_code(c: cd.ConstaCode, rec: _Recorder, ctxinfo: dict) -> None:
         step = n // v
         left = all((a + step) % n in c.gen_set for a in c.gen_set)
         right = all(e % v == 0 for e, rep in enumerate(c.generator.coeffs) if rep != params.field.zero_rep)
-        rec.record("block_structure", left == right, {**info, "v": v})
+        rec.record("block_structure", left == right, info, v=v)
 
     # dual: reciprocal construction vs nullspace
     dset, dual = cd.dual_generating_set(c)
@@ -118,12 +124,8 @@ def _check_single_code(c: cd.ConstaCode, rec: _Recorder, ctxinfo: dict) -> None:
         rec.record("core_dimension", core.dim == c.dim, info)
         rec.record("core_nondegenerate", cd.pattern_polynomial(core).is_trivial, info)
         for i in range(1, r + 2):
-            direct = cd.schur_power(c, i)
-            rec.record(
-                "factored_power",
-                cd.factored_power_generator(c, i) == direct.generator,
-                {**info, "i": i},
-            )
+            ok = cd.schur_power(c, i).generator == cd.factored_power_generator(c, i)
+            rec.record("factored_power", ok, info, i=i)
 
 
 def _check_pair(
@@ -134,7 +136,7 @@ def _check_pair(
     ctxinfo: dict,
     corrupt_this: bool,
 ) -> None:
-    info = {**ctxinfo, "g1": list(c1.generator.indices()), "g2": list(c2.generator.indices())}
+    info = _context(ctxinfo, g1=c1, g2=c2)
     by_sum = cd.schur_product_sumset(c1, c2)
     by_gcd = cd.schur_product_gcd(c1, c2)
 
@@ -194,7 +196,7 @@ def run_grid_verification(
                 rec.record(
                     "factorization_product",
                     all_codes[-1].generator == basis.params.xn_minus_lam,
-                    ctxinfo,
+                    _context(ctxinfo),
                 )
                 codes_checked += len(all_codes)
                 for c in all_codes:

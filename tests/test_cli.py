@@ -135,6 +135,23 @@ def test_product_spectral_method_runs_without_the_oracle(capsys, monkeypatch, me
     ]}
 
 
+def test_product_oracle_method_runs_without_the_spectral_products(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("spectral product run")
+
+    monkeypatch.setattr("constakit.codes.schur_product_sumset", refuse)
+    monkeypatch.setattr("constakit.codes.schur_product_gcd", refuse)
+    rc, doc = run_json(
+        capsys, "product", "--p", "2", "--n", "7", "--lambda", "1",
+        "--generator", "[1,1,0,1]", "--method", "oracle",
+    )
+    assert rc == 0
+    assert doc == {"reports": [
+        {"method": "oracle", "generator": [1], "G": list(range(7)), "dim": 7,
+         "agrees_with_oracle": None},
+    ]}
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_product_disagreement_exits_1(capsys, monkeypatch, fmt):
     """A valid but wrong oracle answer for the Hamming square: the [7,4]

@@ -8,6 +8,7 @@ from constakit import (
     CodeParams,
     PatternPoly,
     Poly,
+    RootBasis,
     ZnSet,
     basis_family,
     bounds_report,
@@ -113,6 +114,74 @@ def test_codes_are_immutable(f3, negacyclic_example):
             setattr(negacyclic_example, name, Poly.one(f3))
     assert negacyclic_example in held
     assert negacyclic_example.dim == len(negacyclic_example.gen_set) == 2
+
+
+# -- the per-basis code memo ------------------------------------------------
+
+
+def _fresh_basis(field, n):
+    """A cyclic basis outside the family memo, so its code memo starts empty."""
+    return BasisFamily(field, n).basis_for_lambda(field.one())
+
+
+def test_code_from_generator_is_memoized_on_its_basis(hamming_example):
+    p, g, b = hamming_example.params, hamming_example.generator, hamming_example.basis
+    assert code_from_generator(p, g, b) is code_from_generator(p, g, b)
+    c = code_from_generator(p, g, b)
+    assert pattern_polynomial(c) is pattern_polynomial(c)
+
+
+def test_non_divisor_raises_on_every_call(f3):
+    basis = basis_family(f3, 4).basis_for_lambda(f3.elem(2))
+    g = Poly(f3, [1, 1])
+    for _ in range(3):
+        with pytest.raises(ValueError, match="does not divide"):
+            code_from_generator(basis.params, g, basis)
+    assert g not in basis._codes
+
+
+def test_swapped_orbit_factors_still_fail_the_cross_check(f2):
+    """The generating-set route multiplies cached orbit factors and the
+    generator route transforms; with the factors of the two cubic orbits of
+    x^7 - 1 swapped they disagree, and neither route may read the other's
+    memo entries to hide it."""
+    from constakit.verify import _divisor_codes
+
+    basis = _fresh_basis(f2, 7)
+    factors = list(basis.irreducible_factors())
+    i, j = (k for k, orb in enumerate(basis.orbits()) if len(orb) == 3)
+    factors[i], factors[j] = factors[j], factors[i]
+    basis._factors = tuple(factors)
+    with pytest.raises(AssertionError, match="support disagrees with chosen orbits"):
+        _divisor_codes(basis)
+
+
+def test_each_basis_keeps_its_own_codes(f5):
+    """x - 2 over F_5 at n = 4, lam = 1: build_basis (o = 1) and the family
+    basis (o = 4) index the same roots differently."""
+    params = CodeParams(f5, 4, f5.one())
+    g = Poly(f5, [3, 1])
+    own, fam = build_basis(params), basis_family(f5, 4).basis_for_lambda(f5.one())
+    by_own = code_from_generator(params, g, own)
+    by_fam = code_from_generator(params, g, fam)
+    assert by_own.basis is own and by_fam.basis is fam
+    assert by_own.gen_set == ZnSet(4, [0, 2, 3])
+    assert by_fam.gen_set == ZnSet(4, [0, 1, 2])
+
+
+def test_generating_set_code_leaves_the_generator_route_its_transform(f2, monkeypatch):
+    basis = _fresh_basis(f2, 7)
+    code = code_from_generating_set(basis.params, basis, [0, 3, 5, 6])
+    assert code_from_generating_set(basis.params, basis, [0, 3, 5, 6]) is code
+    calls, forward_poly = [], RootBasis.forward_poly
+    monkeypatch.setattr(
+        RootBasis, "forward_poly", lambda basis, f: calls.append(f) or forward_poly(basis, f)
+    )
+    again = code_from_generator(basis.params, code.generator, basis)
+    assert again is not code and again == code and again.gen_set == code.gen_set
+    assert len(calls) == 1
+    assert code_from_generator(basis.params, code.generator, basis) is again
+    assert len(calls) == 1
 
 
 # -- duals ----------------------------------------------------------------

@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from constakit import build_field, field_for_cardinality, run_grid_verification
+from constakit.cli import main
 
 
 def test_field_for_cardinality():
@@ -62,3 +65,22 @@ def test_rejects_bad_grid():
         run_grid_verification(qs=(6,), n_max=3)
     with pytest.raises(ValueError):
         run_grid_verification(qs=(2,), n_max=0)
+
+
+@pytest.mark.parametrize(
+    "argv, status, md5",
+    [
+        (["verify"], 0, "fecb12f600de01ea8de55c929537ff7e"),
+        (
+            ["verify", "--grid-q", "3", "--grid-n", "5", "--inject-corruption"],
+            1,
+            "ad4cba290252c4cb93d96f1e28ffe15d",
+        ),
+    ],
+    ids=["default_grid", "corruption"],
+)
+def test_verify_stdout_is_pinned(capsys, argv, status, md5):
+    """The default grid is the benchmarked workload; the corruption run pins
+    how first_counterexample is rendered."""
+    assert main(argv) == status
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == md5

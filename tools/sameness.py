@@ -4,7 +4,8 @@ Runs ``constakit.cli.main`` in-process from the ``src/`` tree next to this
 script and prints:
 
 * the md5 of ``verify`` stdout on four grids: ``[2,3,5]``/10, ``[4,7]``/8,
-  ``[8,9]``/6 and ``[2,3]``/16;
+  ``[8,9]``/6 and ``[2,3]``/16, and on ``3``/5 with ``--inject-corruption``,
+  which pins how ``first_counterexample`` is rendered;
 * one md5 over the 816 ``factor`` runs of a fixed grid, and their exit-code
   counts: p in {2, 3, 5, 7, 11, 13}, GF(4), GF(8), GF(9), GF(16), GF(25)
   and GF(4)^2; n = 1 ... 17; lambda in {1, 2, -1, [0,1]}.  Each run adds
@@ -30,7 +31,14 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from constakit.cli import main  # noqa: E402
 
-VERIFY_GRIDS = (("[2,3,5]", 10), ("[4,7]", 8), ("[8,9]", 6), ("[2,3]", 16))
+#: (--grid-q, --grid-n, further flags) of each verify run.
+VERIFY_RUNS = (
+    ("[2,3,5]", 10, ()),
+    ("[4,7]", 8, ()),
+    ("[8,9]", 6, ()),
+    ("[2,3]", 16, ()),
+    ("3", 5, ("--inject-corruption",)),
+)
 
 #: (p, --degrees) for each field of the factor grid.
 FACTOR_FIELDS = (
@@ -57,9 +65,10 @@ def factor_argvs():
 
 
 def report() -> None:
-    for q, n in VERIFY_GRIDS:
-        rc, out = run(["verify", "--grid-q", q, "--grid-n", str(n)])
-        print(f"verify {q}/{n}: exit {rc} md5 {hashlib.md5(out).hexdigest()}")
+    for q, n, flags in VERIFY_RUNS:
+        rc, out = run(["verify", "--grid-q", q, "--grid-n", str(n), *flags])
+        label = " ".join((f"{q}/{n}", *flags))
+        print(f"verify {label}: exit {rc} md5 {hashlib.md5(out).hexdigest()}")
     digest, exits = hashlib.md5(), Counter()
     for argv in factor_argvs():
         rc, out = run(argv)
