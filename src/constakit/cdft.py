@@ -31,6 +31,8 @@ from .zn import ZnSet
 # Powers of delta are precomputed up to this group order; beyond it they
 # are memoized one at a time.
 EAGER_POWER_LIMIT = 4096
+# Longer n is refused before any n-entry table (n = 4095 factors in ~0.3 s).
+MAX_LENGTH = 4096
 
 
 def _check_length(n: int, q: int) -> None:
@@ -362,6 +364,8 @@ class BasisFamily:
             )
         m = mult_order_mod(q, e)
         self.splitting = spl = field if m == 1 else field.extend(m)
+        if n > MAX_LENGTH:
+            raise ValueError(f"length {n} exceeds the cap {MAX_LENGTH}")
         self.delta = find_element_of_order(spl, e)
         # power_rep(k) is the rep of delta^k for 0 <= k < e: a table up to
         # EAGER_POWER_LIMIT, memoized one power at a time beyond it.

@@ -88,10 +88,10 @@ def code_from_generator(
         raise ValueError("generator is over the wrong field")
     if not g.is_monic:
         raise ValueError("generator must be monic")
+    basis = _resolve_basis(params, basis)  # refuses a length past the cap
     if not g.divides(params.xn_minus_lam):
         lam = params.field.rep_to_str(params.lam.rep)
         raise ValueError(f"{g!r} does not divide x^{params.n} - ({lam})")
-    basis = _resolve_basis(params, basis)
     if g.degree == params.n:
         gen_set = ZnSet(params.n)
     else:
@@ -288,10 +288,8 @@ def schur_product_gcd(
         g = g * s
     g_padded = (g % xn1).padded(n)
     acc = params3.xn_minus_lam
-    g2 = c2.generator
-    for j in range(n - g2.degree):
-        row = g2.shift(j).padded(n)
-        prod = Poly(ctx, list(_schur_reps(ctx, g_padded, row)))
+    for row in c2.generator.shifts(n):
+        prod = Poly(ctx, _schur_reps(ctx, g_padded, row))
         if not prod.is_zero:
             acc = poly_gcd(acc, prod)
             if acc.degree == 0:

@@ -7,7 +7,10 @@ None of it touches roots of unity, so agreement with the spectral
 methods is a real cross-check rather than the same computation twice.
 
 rref reads its rows in one pass and stops once every column is a pivot.
-The product oracle feeds it vectors in descending-degree coordinates
+Each pivot row is 0 at every other pivot, so a vector's component along it
+is the vector's own entry there, and only the free (non-pivot) columns take
+arithmetic: a full-rank echelon is built and checked closed without more.
+The product oracle feeds rref vectors in descending-degree coordinates
 (x^(n-1) first, x^0 last), so the last echelon row is the monic element
 of least degree: the generator.
 """
@@ -21,45 +24,54 @@ from .numbertheory import divisors
 from .poly import Poly, _schur_reps
 
 
-def _reduce(ctx, echelon, pivots, vec) -> list:
+def _reduce(ctx, echelon, pivots, free, vec) -> list:
     """vec minus its components along the pivot rows; zero iff vec is in their span."""
-    zero = ctx.zero_rep
+    sub, mul, zero = ctx.sub, ctx.mul, ctx.zero_rep
     v = list(vec)
     for row, col in zip(echelon, pivots):
-        f = v[col]
+        f = vec[col]
         if f != zero:
-            for j in range(col, len(v)):
-                v[j] = ctx.sub(v[j], ctx.mul(f, row[j]))
+            v[col] = zero
+            for j in free:
+                if row[j] != zero:
+                    v[j] = sub(v[j], mul(f, row[j]))
     return v
 
 
 def rref(ctx, rows) -> tuple[list[tuple], list[int]]:
     """Reduced row echelon form of the span of rows, in one pass.
 
-    Each row is reduced by the pivot rows found so far; a nonzero
-    remainder is scaled to a leading 1, cleared from the earlier pivot
-    rows, and becomes a pivot row itself.  Reading stops once every
-    column is a pivot.  The reduced echelon form of a span is unique, so
-    any two row sets spanning the same subspace give the identical list,
-    sorted by pivot column.
+    Each row is reduced by the pivot rows found so far; the first nonzero
+    entry of the remainder, at a free column, is scaled to 1 and cleared
+    from the earlier pivot rows, and the remainder becomes a pivot row.
+    Reading stops once no column is free.  The reduced echelon form of a
+    span is unique, so any two row sets spanning the same subspace give
+    the identical list, sorted by pivot column.
     """
-    zero = ctx.zero_rep
+    sub, mul, zero, one = ctx.sub, ctx.mul, ctx.zero_rep, ctx.one_rep
     echelon: list[list] = []
     pivots: list[int] = []
+    free = None
     for r in rows:
-        v = _reduce(ctx, echelon, pivots, r)
-        col = next((j for j, c in enumerate(v) if c != zero), None)
-        if col is None:
+        free = list(range(len(r))) if free is None else free
+        v = _reduce(ctx, echelon, pivots, free, r)
+        i = next((i for i, j in enumerate(free) if v[j] != zero), None)
+        if i is None:
             continue
+        col = free.pop(i)
         inv = ctx.inv(v[col])
-        v = [ctx.mul(inv, c) for c in v]
-        for i, row in enumerate(echelon):
+        if inv != one:
+            v = [c if c == zero else mul(inv, c) for c in v]
+        for row in echelon:
             f = row[col]
             if f != zero:
-                echelon[i] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(row, v)]
+                row[col] = zero
+                for j in free:
+                    if v[j] != zero:
+                        row[j] = sub(row[j], mul(f, v[j]))
         echelon.append(v)
         pivots.append(col)
-        if len(pivots) == len(v):
+        if not free:
             break
     order = sorted(range(len(pivots)), key=pivots.__getitem__)
     return [tuple(echelon[i]) for i in order], [pivots[i] for i in order]
@@ -67,15 +79,13 @@ def rref(ctx, rows) -> tuple[list[tuple], list[int]]:
 
 def span_contains(ctx, echelon, pivots, vec) -> bool:
     """Whether vec lies in the row space given by rref output."""
-    zero = ctx.zero_rep
-    return all(c == zero for c in _reduce(ctx, echelon, pivots, vec))
+    free = [j for j in range(len(vec)) if j not in pivots]
+    return all(c == ctx.zero_rep for c in _reduce(ctx, echelon, pivots, free, vec))
 
 
 def generator_rows(c: ConstaCode) -> list[tuple]:
     """The k rows x^j * g, j < k, as length-n coefficient vectors."""
-    n = c.params.n
-    g = c.generator
-    return [g.shift(j).padded(n) for j in range(n - g.degree)]
+    return list(c.generator.shifts(c.params.n))
 
 
 def oracle_schur_product(c1: ConstaCode, c2: ConstaCode) -> tuple[int, Poly]:
@@ -102,9 +112,8 @@ def oracle_schur_product(c1: ConstaCode, c2: ConstaCode) -> tuple[int, Poly]:
     )
     products = dict.fromkeys(_schur_reps(ctx, a, b) for a, b in pairs)
     echelon, pivots = rref(ctx, products)
-    lam3_rep = lam3.rep
-    for r in echelon:
-        shifted = r[1:] + (ctx.mul(lam3_rep, r[0]),)
+    for r in echelon if len(echelon) < n else ():
+        shifted = r[1:] + (ctx.mul(lam3.rep, r[0]),)
         if not span_contains(ctx, echelon, pivots, shifted):
             raise AssertionError("product span is not constacyclic; theory violated")
     dim = len(echelon)

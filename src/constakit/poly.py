@@ -3,7 +3,9 @@
 Coefficients are stored in ascending order of the exponent (index i holds
 the coefficient of x**i), in the context's internal representation; the
 zero polynomial stores an empty tuple and reports degree -1.  A Poly never
-keeps trailing zero coefficients.
+keeps trailing zero coefficients; the trusted `Poly._of` takes only tuples
+that have none.  One in-place division loop on coefficient lists serves
+``divmod``, ``%`` and `poly_gcd`, whose Euclid builds one Poly at the end.
 
 The context object supplies the coefficient arithmetic (``add``, ``mul``,
 ``inv``, ...), so this module works over any tower level from field.py
@@ -27,6 +29,14 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _of(cls, ctx, coeffs: tuple) -> "Poly":
+        """The Poly of a coefficient tuple with no trailing zero, taken as is."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ctx", ctx)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -106,6 +116,13 @@ class Poly:
             raise ValueError(f"degree {self.degree} does not fit in length {n}")
         return self.coeffs + (self.ctx.zero_rep,) * (n - len(self.coeffs))
 
+    def shifts(self, n: int):
+        """The rows x^j * self, j < n - deg, as length-n slices of one padded tuple."""
+        k = n - self.degree
+        pad = (self.ctx.zero_rep,) * (k - 1)
+        line = pad + self.coeffs + pad
+        return (line[k - 1 - j : n + k - 1 - j] for j in range(k))
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)
@@ -174,14 +191,6 @@ class Poly:
         mul = ctx.mul
         return Poly(ctx, (mul(a, c) for a in self.coeffs))
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if k < 0:
-            raise ValueError("shift must be >= 0")
-        if self.is_zero:
-            return self
-        return Poly(self.ctx, (self.ctx.zero_rep,) * k + self.coeffs)
-
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ValueError("zero polynomial has no monic scaling")
@@ -195,24 +204,10 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         ctx = self.ctx
-        mul, sub, zero = ctx.mul, ctx.sub, ctx.zero_rep
-        db = other.degree
-        lead = other.coeffs[-1]
-        inv_lead = lead if lead == ctx.one_rep else ctx.inv(lead)
         rem = list(self.coeffs)
-        if len(rem) <= db:
-            return Poly.zero(ctx), self
-        quo = [zero] * (len(rem) - db)
-        for i in range(len(rem) - db - 1, -1, -1):
-            c = rem[i + db]
-            if c == zero:
-                continue
-            f = mul(c, inv_lead)
-            quo[i] = f
-            for j, oc in enumerate(other.coeffs):
-                if oc != zero:
-                    rem[i + j] = sub(rem[i + j], mul(f, oc))
-        return Poly(ctx, quo), Poly(ctx, rem)
+        quo = [ctx.zero_rep] * max(len(rem) - other.degree, 0)
+        _divide(ctx, rem, other.coeffs, quo)
+        return Poly._of(ctx, tuple(quo)), Poly._of(ctx, tuple(rem))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -299,15 +294,40 @@ def mul_mod_constacyclic(a: Poly, b: Poly, n: int, lam) -> Poly:
     return Poly(ctx, out)
 
 
+def _divide(ctx, rem: list, b: Sequence, quo: list | None = None) -> None:
+    """Reduce rem in place to its remainder mod b, quotient into quo if given.
+    Each step pops the top coefficient it cancels; a monic b needs no inverse."""
+    mul, sub, zero = ctx.mul, ctx.sub, ctx.zero_rep
+    db = len(b) - 1
+    lead = b[-1]
+    monic = lead == ctx.one_rep
+    inv_lead = lead if monic else ctx.inv(lead)
+    for i in range(len(rem) - db - 1, -1, -1):
+        c = rem.pop()
+        if c == zero:
+            continue
+        f = c if monic else mul(c, inv_lead)
+        if quo is not None:
+            quo[i] = f
+        for j in range(db):
+            if b[j] != zero:
+                rem[i + j] = sub(rem[i + j], mul(f, b[j]))
+    while rem and rem[-1] == zero:
+        rem.pop()
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, 0) is an error."""
     if a.ctx is not b.ctx:
         raise ValueError("polynomials over different field contexts")
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    ctx = a.ctx
+    r0, r1 = list(a.coeffs), list(b.coeffs)
+    while r1:
+        _divide(ctx, r0, r1)
+        r0, r1 = r1, r0
+    return Poly._of(ctx, tuple(r0)).monic()
 
 
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
@@ -359,8 +379,7 @@ def reciprocal(a: Poly) -> Poly:
 
 
 def _schur_reps(ctx, u: Sequence, v: Sequence) -> tuple:
-    mul = ctx.mul
-    return tuple(mul(a, b) for a, b in zip(u, v))
+    return tuple(map(ctx.mul, u, v))
 
 
 def schur(u: Sequence, v: Sequence) -> tuple:

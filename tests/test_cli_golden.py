@@ -78,6 +78,14 @@ SPECS = {
     "error_factor_n_semiprime.json": (
         ["factor", "--p", "2", "--n", "30000000000000000017000000000000000002067",
          "--lambda", "1"], 2),
+    # n = 2**61 - 1 splits in GF(2^61), within the cap: refused by length
+    # before a basis builds its n-entry point table
+    "error_factor_n_2e61.json": (
+        ["factor", "--p", "2", "--n", "2305843009213693951", "--lambda", "1"], 2),
+    # ... and before x^n - 1 is formed to check that the generator divides it
+    "error_product_n_2e61.json": (
+        ["product", "--p", "2", "--n", "2305843009213693951", "--lambda", "1",
+         "--generator", "[1,1]"], 2),
 }
 
 

@@ -223,3 +223,69 @@ def test_schur_componentwise(f3):
     assert [e.rep for e in schur(u, v)] == [2, 1, 0, 1]
     with pytest.raises(ValueError):
         schur(u, v[:3])
+
+
+# -- division and gcd against independent references ------------------------
+
+
+def _to_gf(f):
+    """Coefficient indices, highest degree first: galoistools' dense form."""
+    return list(reversed(f.indices()))
+
+
+def _division_cases(field, rng):
+    """(a, b) pairs, b nonzero: random ones, plus a shorter dividend, equal
+    degrees, a constant divisor and a zero dividend."""
+
+    def poly(deg):
+        lead = field.rep_from_index(rng.randrange(1, field.cardinality))
+        low = [field.rep_from_index(rng.randrange(field.cardinality)) for _ in range(deg)]
+        return Poly(field, low + [lead])
+
+    cases = [(rand_poly(field, rng, 8), poly(rng.randrange(4))) for _ in range(40)]
+    cases += [(poly(2), poly(5)), (poly(4), poly(4)), (poly(6), poly(0)), (Poly.zero(field), poly(3))]
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_division_and_gcd_match_galoistools(p):
+    from sympy import ZZ
+    from sympy.polys.galoistools import gf_div, gf_gcd
+
+    field = build_field(p, [])
+    for a, b in _division_cases(field, random.Random(p)):
+        q, r = divmod(a, b)
+        assert (_to_gf(q), _to_gf(r)) == gf_div(_to_gf(a), _to_gf(b), p, ZZ)
+        assert a % b == r
+        assert _to_gf(poly_gcd(a, b)) == gf_gcd(_to_gf(a), _to_gf(b), p, ZZ)
+
+
+@pytest.mark.parametrize("p, degrees", [(2, [2]), (3, [5])])
+def test_division_and_gcd_identities_over_extensions(p, degrees):
+    """q*b + r == a and the gcd's Bezout identity, checked with Poly.__mul__,
+    which shares no code with division."""
+    field = build_field(p, degrees)
+    rng = random.Random(sum(degrees))
+    for a, b in _division_cases(field, rng):
+        q, r = divmod(a, b)
+        assert q * b + r == a
+        assert r.degree < b.degree
+        assert a % b == r
+        g = poly_gcd(a, b)
+        assert g.is_monic
+        for f in (a, b):
+            cofactor, rest = divmod(f, g)
+            assert rest.is_zero and cofactor * g == f
+        d, u, v = poly_xgcd(a, b)
+        assert d == g and u * a + v * b == g
+
+
+def test_division_and_gcd_errors(f4):
+    a = Poly(f4, [f4.one_rep, f4.one_rep])
+    zero = Poly.zero(f4)
+    with pytest.raises(ZeroDivisionError):
+        divmod(a, zero)
+    with pytest.raises(ZeroDivisionError):
+        a % zero
+    with pytest.raises(ValueError, match="undefined"):
+        poly_gcd(zero, zero)

@@ -100,3 +100,64 @@ def test_rref_stops_reading_at_full_rank(name):
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_rref_of_no_rows_is_empty(name):
     assert rref(FIELDS[name], []) == ([], [])
+
+
+# -- an independent reference: sympy's rref over GF(p) ----------------------
+
+PRIME_FIELDS = {p: build_field(p, []) for p in (2, 5, 7)}
+
+
+@st.composite
+def _row_sets(draw, ctx):
+    """Drawn rows, full-rank rows, or either with duplicate and zero rows mixed in."""
+    if draw(st.booleans()):
+        rows = list(draw(_full_rank(ctx)))
+        ncols = len(rows[0])
+    else:
+        ncols, rows = draw(_matrices(ctx))
+    if rows and draw(st.booleans()):
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+        rows += [(ctx.zero_rep,) * ncols] * draw(st.integers(0, 2))
+        rows = draw(st.permutations(rows))
+    return ncols, rows
+
+
+def _sympy_rref(ctx, ncols, rows):
+    """(echelon, pivots) from sympy's DomainMatrix.rref over GF(p)."""
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    p = ctx.p
+    K = GF(p)
+    entries = [[K(ctx.rep_to_index(c)) for c in r] for r in rows]
+    reduced, pivots = DomainMatrix(entries, (len(rows), ncols), K).rref()
+    echelon = [
+        tuple(ctx.rep_from_index(int(c) % p) for c in row)
+        for row in reduced.to_list()[: len(pivots)]
+    ]
+    return echelon, list(pivots)
+
+
+@pytest.mark.parametrize("p", sorted(PRIME_FIELDS))
+@_settings
+@given(data=st.data())
+def test_rref_matches_sympy_over_prime_fields(p, data):
+    ctx = PRIME_FIELDS[p]
+    ncols, rows = data.draw(_row_sets(ctx))
+    echelon, pivots = rref(ctx, rows)
+    assert (echelon, pivots) == _sympy_rref(ctx, ncols, rows)
+    vec = data.draw(st.tuples(*[_elements(ctx)] * ncols))
+    expected = len(_sympy_rref(ctx, ncols, rows + [vec])[1]) == len(pivots)
+    assert span_contains(ctx, echelon, pivots, vec) == expected
+
+
+@pytest.mark.parametrize("p", sorted(PRIME_FIELDS))
+@_settings
+@given(data=st.data())
+def test_full_rank_echelon_contains_every_vector(p, data):
+    ctx = PRIME_FIELDS[p]
+    rows = data.draw(_full_rank(ctx))
+    echelon, pivots = rref(ctx, rows)
+    assert len(pivots) == len(rows)
+    vec = data.draw(st.tuples(*[_elements(ctx)] * len(rows)))
+    assert span_contains(ctx, echelon, pivots, vec)

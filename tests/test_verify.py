@@ -1,8 +1,11 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
 from constakit import build_field, field_for_cardinality, run_grid_verification
+from constakit import codes as cd
+from constakit import oracle as oc
 from constakit.cli import main
 
 
@@ -84,3 +87,26 @@ def test_verify_stdout_is_pinned(capsys, argv, status, md5):
     how first_counterexample is rendered."""
     assert main(argv) == status
     assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == md5
+
+
+def test_default_grid_runs_each_route_a_pinned_number_of_times(monkeypatch):
+    """A speedup must not come from skipping work: the default grid takes the
+    oracle once per distinct unordered pair of codes at a point, and each
+    spectral product once per ordered pair."""
+    calls = Counter()
+    for module, name in (
+        (oc, "oracle_schur_product"),
+        (cd, "schur_product_gcd"),
+        (cd, "schur_product_sumset"),
+    ):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert run_grid_verification()["pairs_checked"] == 7176
+    assert calls == {
+        "oracle_schur_product": 3764,
+        "schur_product_gcd": 7176,
+        "schur_product_sumset": 7176,
+    }

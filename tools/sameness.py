@@ -9,13 +9,24 @@ script and prints:
 * one md5 over the 816 ``factor`` runs of a fixed grid, and their exit-code
   counts: p in {2, 3, 5, 7, 11, 13}, GF(4), GF(8), GF(9), GF(16), GF(25)
   and GF(4)^2; n = 1 ... 17; lambda in {1, 2, -1, [0,1]}.  Each run adds
-  its argv, exit code and stdout to the digest.
+  its argv, exit code and stdout to the digest;
+* one md5 over the ``product --method all`` runs of a fixed grid of
+  (field, n, lambda) points, with their exit-code counts, digested the same
+  way.  The points reach every kind of splitting field the product basis
+  can have: prime (only n = 1, since that basis takes delta of order
+  n*(q - 1)), tabulated (GF(4), GF(9), GF(16), GF(81), ...) and vector
+  (GF(2^20) at q = 2, n = 25; GF(3^8) at q = 3, n = 16).  At lambda = 1 the
+  codes are given by generating sets, every union of the orbits of
+  j -> q*j on Z_n; at other lambda by generators, each irreducible factor
+  that ``factor`` prints, and 1.  Every unordered pair of a point's codes,
+  a code with itself included, is multiplied.
 
 Run it in two checkouts and compare the output:
 
     python3 tools/sameness.py
 
-Standard library only; the full grid takes about 20 s on a 2-core VM.
+Standard library only; the full grid takes about 12 s on a 2-core VM, 2 s
+of it the product grid.
 """
 
 from __future__ import annotations
@@ -23,6 +34,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
+import math
 import pathlib
 import sys
 from collections import Counter
@@ -48,6 +61,13 @@ FACTOR_FIELDS = (
 FACTOR_LENGTHS = range(1, 18)
 FACTOR_LAMBDAS = ("1", "2", "-1", "[0,1]")
 
+#: (p, --degrees, n, lambda) of each product point.
+PRODUCT_POINTS = (
+    (5, None, 1, "2"), (2, None, 3, "1"), (2, None, 7, "1"), (5, None, 6, "1"),
+    (3, None, 4, "2"), (3, None, 8, "2"), (2, "[2]", 5, "1"), (2, "[2]", 5, "[0,1]"),
+    (3, "[2]", 5, "[0,1]"), (2, None, 25, "1"), (3, None, 16, "2"),
+)
+
 
 def run(argv: list[str]) -> tuple[int, bytes]:
     buf = io.StringIO()
@@ -64,18 +84,56 @@ def factor_argvs():
                 yield ["factor", *field, "--n", str(n), "--lambda", lam]
 
 
+def _orbits(q: int, n: int) -> list[list[int]]:
+    """The orbits of j -> q*j on Z_n: at lambda = 1, the blocks of every generating set."""
+    seen, out = set(), []
+    for start in range(n):
+        orbit, j = [], start
+        while j not in seen:
+            seen.add(j)
+            orbit.append(j)
+            j = q * j % n
+        if orbit:
+            out.append(orbit)
+    return out
+
+
+def product_argvs():
+    for p, degrees, n, lam in PRODUCT_POINTS:
+        field = ["--p", str(p)] + (["--degrees", degrees] if degrees else [])
+        point = [*field, "--n", str(n), "--lambda", lam]
+        if lam == "1":
+            orbits = _orbits(p ** math.prod(json.loads(degrees or "[]")), n)
+            codes = [
+                ["--gen-set", json.dumps(sorted(j for i, o in enumerate(orbits) if m >> i & 1 for j in o))]
+                for m in range(1 << len(orbits))
+            ]
+        else:
+            factors = json.loads(run(["factor", *point])[1])["factors"]
+            codes = [["--generator", json.dumps(f)] for f in factors] + [["--generator", "[1]"]]
+        for i, code in enumerate(codes):
+            for other in codes[i:]:
+                yield ["product", *point, *code, *other, "--method", "all"]
+
+
+def _fingerprint(argvs) -> str:
+    """md5 over each run's argv, exit code and stdout, and the exit-code counts."""
+    digest, exits = hashlib.md5(), Counter()
+    for argv in argvs:
+        rc, out = run(argv)
+        digest.update(f"{argv} {rc}\n".encode() + out)
+        exits[rc] += 1
+    counts = ", ".join(f"exit {rc}: {k}" for rc, k in sorted(exits.items()))
+    return f"{sum(exits.values())} runs: md5 {digest.hexdigest()}, {counts}"
+
+
 def report() -> None:
     for q, n, flags in VERIFY_RUNS:
         rc, out = run(["verify", "--grid-q", q, "--grid-n", str(n), *flags])
         label = " ".join((f"{q}/{n}", *flags))
         print(f"verify {label}: exit {rc} md5 {hashlib.md5(out).hexdigest()}")
-    digest, exits = hashlib.md5(), Counter()
-    for argv in factor_argvs():
-        rc, out = run(argv)
-        digest.update(f"{argv} {rc}\n".encode() + out)
-        exits[rc] += 1
-    counts = ", ".join(f"exit {rc}: {k}" for rc, k in sorted(exits.items()))
-    print(f"factor {sum(exits.values())} runs: md5 {digest.hexdigest()}, {counts}")
+    print(f"factor {_fingerprint(factor_argvs())}")
+    print(f"product {_fingerprint(product_argvs())}")
 
 
 if __name__ == "__main__":
