@@ -389,13 +389,18 @@ class BasisFamily:
         return basis
 
     def basis_for_lambda(self, lam: FieldElem) -> RootBasis:
-        """The family basis with the smallest exponent s, beta^n = delta^(sn) = lam."""
-        if not isinstance(lam, FieldElem) or lam.ctx is not self.field:
+        """The family basis with the smallest exponent s, beta^n = delta^(sn) = lam.
+
+        delta^n has order o | q - 1, so s is found by a walk over its powers in F_q.
+        """
+        field = self.field
+        if not isinstance(lam, FieldElem) or lam.ctx is not field:
             raise ValueError("lam must be an element of the family's field")
-        lifted = lam.lift(self.splitting)
+        step, x = self.delta_pow(self.n).project(field).rep, field.one_rep
         for s in range(self.xi_exp):
-            if self.delta_pow(s * self.n) == lifted:
+            if x == lam.rep:
                 return self.basis_for_exponent(s)
+            x = field.mul(x, step)
         raise ValueError(f"lam is not a unit of order dividing {self.xi_exp}")
 
     def __repr__(self) -> str:

@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cdft import BasisFamily, CodeParams, RootBasis, basis_family
+from .cdft import CodeParams, RootBasis, basis_family
 from .field import FieldElem
 from .numbertheory import is_prime
-from .poly import Poly, _schur_reps, poly_gcd, reciprocal
+from .poly import Poly, poly_gcd, reciprocal
 from .zn import ZnSet, fourier_bias, iterated_sumset, smallest_coset, sumset
 
 
@@ -237,25 +237,23 @@ def core_code(c: ConstaCode) -> ConstaCode:
 # -- componentwise products ----------------------------------------------
 
 
-def _family_exponent(c: ConstaCode) -> tuple[BasisFamily, int]:
-    """The code's basis as (family, exponent), or an error if it is foreign."""
-    fam = basis_family(c.params.field, c.params.n)
-    own = c.basis.family
-    if own.delta_order != fam.delta_order or own.delta != fam.delta:
-        raise ValueError(
-            "code was built on a basis outside the (field, n) family; "
-            "rebuild it with the default basis to take products"
-        )
-    return fam, c.basis.beta_exp
+def _family_basis(s: int, *codes: ConstaCode) -> RootBasis:
+    """delta^s's basis in the (field, n) family, which holds a code's basis exactly
+    when its o is q - 1, as a family's delta is canonical for its (field, n, o)."""
+    for c in codes:
+        if c.basis.xi_exp != c.params.q - 1:
+            raise ValueError(
+                "code was built on a basis outside the (field, n) family; "
+                "rebuild it with the default basis to take products"
+            )
+    return basis_family(c.params.field, c.params.n).basis_for_exponent(s)
 
 
 def product_basis(c1: ConstaCode, c2: ConstaCode) -> RootBasis:
     """The family basis of c1 o c2, beta = beta1 * beta2."""
     if c1.params.field is not c2.params.field or c1.params.n != c2.params.n:
         raise ValueError("codes must share field and length")
-    fam, s1 = _family_exponent(c1)
-    _, s2 = _family_exponent(c2)
-    return fam.basis_for_exponent(s1 + s2)
+    return _family_basis(c1.basis.beta_exp + c2.basis.beta_exp, c1, c2)
 
 
 def schur_product_sumset(c1: ConstaCode, c2: ConstaCode) -> ConstaCode:
@@ -289,7 +287,7 @@ def schur_product_gcd(
     g_padded = (g % xn1).padded(n)
     acc = params3.xn_minus_lam
     for row in c2.generator.shifts(n):
-        prod = Poly(ctx, _schur_reps(ctx, g_padded, row))
+        prod = Poly(ctx, map(ctx.mul, g_padded, row))
         if not prod.is_zero:
             acc = poly_gcd(acc, prod)
             if acc.degree == 0:
@@ -303,8 +301,7 @@ def schur_power(c: ConstaCode, i: int) -> ConstaCode:
         raise ValueError("power must be >= 1")
     if i == 1:
         return c
-    fam, s = _family_exponent(c)
-    basis = fam.basis_for_exponent(s * i)
+    basis = _family_basis(c.basis.beta_exp * i, c)
     gi = iterated_sumset(c.gen_set, i)
     return code_from_generating_set(basis.params, basis, gi)
 

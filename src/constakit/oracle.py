@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement, product
 
 from .codes import ConstaCode, PatternPoly
 from .numbertheory import divisors
-from .poly import Poly, _schur_reps
+from .poly import Poly
 
 
 def _reduce(ctx, echelon, pivots, free, vec) -> list:
@@ -110,7 +110,7 @@ def oracle_schur_product(c1: ConstaCode, c2: ConstaCode) -> tuple[int, Poly]:
     pairs = (
         combinations_with_replacement(rows1, 2) if rows1 == rows2 else product(rows1, rows2)
     )
-    products = dict.fromkeys(_schur_reps(ctx, a, b) for a, b in pairs)
+    products = dict.fromkeys(tuple(map(ctx.mul, a, b)) for a, b in pairs)
     echelon, pivots = rref(ctx, products)
     for r in echelon if len(echelon) < n else ():
         shifted = r[1:] + (ctx.mul(lam3.rep, r[0]),)

@@ -378,10 +378,6 @@ def reciprocal(a: Poly) -> Poly:
     return Poly(a.ctx, tuple(reversed(a.coeffs)))
 
 
-def _schur_reps(ctx, u: Sequence, v: Sequence) -> tuple:
-    return tuple(map(ctx.mul, u, v))
-
-
 def schur(u: Sequence, v: Sequence) -> tuple:
     """Componentwise product of two equal-length vectors of field elements."""
     from .field import FieldElem
@@ -394,5 +390,4 @@ def schur(u: Sequence, v: Sequence) -> tuple:
     for e in list(u) + list(v):
         if not isinstance(e, FieldElem) or e.ctx is not ctx:
             raise ValueError("schur vectors must share one field context")
-    reps = _schur_reps(ctx, [e.rep for e in u], [e.rep for e in v])
-    return tuple(FieldElem(ctx, r) for r in reps)
+    return tuple(FieldElem(ctx, ctx.mul(a.rep, b.rep)) for a, b in zip(u, v))

@@ -140,7 +140,7 @@ def _check_pair(
     by_sum = cd.schur_product_sumset(c1, c2)
     by_gcd = cd.schur_product_gcd(c1, c2)
 
-    key = frozenset({(c1.params.lam, c1.generator), (c2.params.lam, c2.generator)})
+    key = frozenset({c1, c2})
     if key not in oracle_cache:
         oracle_cache[key] = oc.oracle_schur_product(c1, c2)
     oracle_dim, oracle_gen = oracle_cache[key]

@@ -12,6 +12,7 @@ from constakit import (
     build_field,
     code_from_generator,
     dual_generating_set,
+    elem_order,
     mul_mod_constacyclic,
     schur,
 )
@@ -342,6 +343,61 @@ def test_family_rejects_foreign_lambda(f3, f5):
     fam = BasisFamily(f3, 4)
     with pytest.raises(ValueError):
         fam.basis_for_lambda(f5.one())
+
+
+def _scanned_exponent(fam, lam):
+    """Reference for basis_for_lambda: the smallest s with delta^(sn) = lam,
+    found by lifting lam and comparing it with each power in the splitting field."""
+    lifted = lam.lift(fam.splitting)
+    for s in range(fam.xi_exp):
+        if fam.delta_pow(s * fam.n) == lifted:
+            return s
+    return None
+
+
+@pytest.mark.parametrize("p,degrees,n", [(3, [2], 16), (5, [], 16), (7, [], 16)])
+def test_basis_for_lambda_walk_matches_the_splitting_field_scan(p, degrees, n):
+    """GF(9) and F_5 at n = 16 split in vector levels (GF(3^32), GF(5^16)),
+    F_7 in a tabulated one; every lam, in the default and its own-order family."""
+    field = build_field(p, degrees)
+    assert BasisFamily(field, n).splitting.kind == ("tabulated" if p == 7 else "vector")
+    for lam in field.elements():
+        if lam.is_zero:
+            continue
+        for o in (None, elem_order(lam)):
+            fam = BasisFamily(field, n, o)
+            s = _scanned_exponent(fam, lam)
+            assert s is not None
+            assert fam.basis_for_lambda(lam).beta_exp == s
+
+
+def test_basis_for_lambda_walk_matches_the_scan_on_lazy_delta_powers():
+    """(F_4099, 2): delta of order 8196 is past the eager table; 50 seeded lam."""
+    field = build_field(4099, [])
+    fam = BasisFamily(field, 2)
+    assert fam.delta_order > EAGER_POWER_LIMIT
+    rng = random.Random(4099)
+    for idx in rng.sample(range(1, 4099), 50):
+        lam = field.elem(idx)
+        assert fam.basis_for_lambda(lam).beta_exp == _scanned_exponent(fam, lam)
+
+
+def test_basis_for_lambda_takes_one_delta_power(f9, monkeypatch):
+    """Once a basis is built, finding it again takes delta^n and nothing else;
+    a search in the splitting field would take s + 1 powers."""
+    fam = BasisFamily(f9, 16)
+    lams = [lam for lam in f9.elements() if not lam.is_zero]
+    bases = [fam.basis_for_lambda(lam) for lam in lams]
+    assert max(b.beta_exp for b in bases) == 7
+    calls = []
+    delta_pow = BasisFamily.delta_pow
+    monkeypatch.setattr(
+        BasisFamily, "delta_pow", lambda self, k: calls.append(k) or delta_pow(self, k)
+    )
+    for lam, basis in zip(lams, bases):
+        calls.clear()
+        assert fam.basis_for_lambda(lam) is basis
+        assert calls == [16]
 
 
 def test_lazy_delta_powers_round_trip_and_factor():

@@ -40,6 +40,10 @@ SPECS = {
     "factor_q9_n16_lam11.json": (_FACTOR_VECTOR, 0),
     "factor_q9_n16_lam11.txt": (_FACTOR_VECTOR + ["--format", "text"], 0),
     "factor_q4099_n2_lam2.json": (_FACTOR_LAZY, 0),
+    # delta of order 3 * 1000002 in the vector level GF(p^3): its powers are
+    # memoized one at a time, and lam's exponent is found by a walk in F_p
+    "factor_q1000003_n3_lam5.json": (
+        ["factor", "--p", "1000003", "--n", "3", "--lambda", "5"], 0),
     "factor_q9_n5_lam1.txt": (_FACTOR_PAREN + ["--format", "text"], 0),
     "product_q2_n7_hamming.json": (_PRODUCT, 0),
     "product_q2_n7_hamming.txt": (_PRODUCT + ["--format", "text"], 0),
@@ -65,6 +69,11 @@ SPECS = {
         ["factor", "--p", "318665857834031151167461", "--n", "2", "--lambda", "1"], 2),
     "error_product_not_divisor.json": (
         ["product", "--p", "3", "--n", "4", "--lambda", "2", "--generator", "[1,1]"], 2),
+    # lam's exponent in the (F_p, 2) family, delta of order 2 * 1000002, is
+    # found by a walk in F_p before the closure check refuses the set
+    "error_product_q1000003_n2_not_closed.json": (
+        ["product", "--p", "1000003", "--n", "2", "--lambda", "5", "--gen-set", "[0]",
+         "--method", "all"], 2),
     "error_powers_zero_code.json": (
         ["powers", "--p", "2", "--n", "3", "--lambda", "1", "--generator", "[1,0,0,1]"], 2),
     "error_verify_q6.json": (["verify", "--grid-q", "[6]", "--grid-n", "4"], 2),

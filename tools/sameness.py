@@ -19,14 +19,20 @@ script and prints:
   codes are given by generating sets, every union of the orbits of
   j -> q*j on Z_n; at other lambda by generators, each irreducible factor
   that ``factor`` prints, and 1.  Every unordered pair of a point's codes,
-  a code with itself included, is multiplied.
+  a code with itself included, is multiplied;
+* one md5 over the ``factor`` runs at the large prime p = 1,000,003, with
+  n in {1, 2, 3} and lambda in {5, -2}, digested the same way.  Their
+  delta powers are memoized one at a time (delta's order is past the eager
+  table), and n = 3 splits in a vector level GF(p^3).  Before lambda's
+  exponent was found by a walk in F_p, these six runs took tens of seconds
+  longer than they do now.
 
 Run it in two checkouts and compare the output:
 
     python3 tools/sameness.py
 
 Standard library only; the full grid takes about 12 s on a 2-core VM, 2 s
-of it the product grid.
+of it the product grid and well under 1 s the large-prime runs.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ FACTOR_FIELDS = (
 )
 FACTOR_LENGTHS = range(1, 18)
 FACTOR_LAMBDAS = ("1", "2", "-1", "[0,1]")
+LARGE_PRIME = 1000003
 
 #: (p, --degrees, n, lambda) of each product point.
 PRODUCT_POINTS = (
@@ -82,6 +89,12 @@ def factor_argvs():
         for n in FACTOR_LENGTHS:
             for lam in FACTOR_LAMBDAS:
                 yield ["factor", *field, "--n", str(n), "--lambda", lam]
+
+
+def large_prime_argvs():
+    for n in (1, 2, 3):
+        for lam in ("5", "-2"):
+            yield ["factor", "--p", str(LARGE_PRIME), "--n", str(n), "--lambda", lam]
 
 
 def _orbits(q: int, n: int) -> list[list[int]]:
@@ -134,6 +147,7 @@ def report() -> None:
         print(f"verify {label}: exit {rc} md5 {hashlib.md5(out).hexdigest()}")
     print(f"factor {_fingerprint(factor_argvs())}")
     print(f"product {_fingerprint(product_argvs())}")
+    print(f"factor p={LARGE_PRIME} {_fingerprint(large_prime_argvs())}")
 
 
 if __name__ == "__main__":
