@@ -18,17 +18,18 @@ upward; polynomials of fixed degree are ordered the same way by their
 non-leading coefficients.
 
 Representations.  Internally an element of a level is
-  * an int residue, at the prime level, which also keeps Q x Q add/mul
-    tables for the level above when p <= SQUARE_TABLE_LIMIT;
+  * an int residue, at the prime level;
   * an int canonical index, at levels of at most TABLE_LIMIT (4096)
     elements, with arithmetic on exp/log/Zech arrays of O(Q) entries;
     levels of at most SQUARE_TABLE_LIMIT (128) elements derive full
     Q x Q add/mul tables from those arrays and use them instead;
-  * a tuple of sublevel representations otherwise.
+  * a tuple of sublevel representations otherwise; over a sublevel of at
+    most SQUARE_TABLE_LIMIT elements its arithmetic reads S x S tables that
+    it builds from the sublevel's ops.
 Subfields embed positionally: the element of index i in a sublevel is the
-element of index i upstairs, so embedding small-field scalars is free and
-projecting to a subfield K is an index check: the element lies in K iff its
-index is below |K|.
+element of index i upstairs.  lift and project both go by index, so
+embedding small-field scalars is one digit and projecting to a subfield K
+is an index check: the element lies in K iff its index is below |K|.
 
 Orders.  elem_order strips primes from Q - 1 (numbertheory.order_from_multiple);
 _first_of_order is the one "first candidate of order exactly e" scan, which
@@ -50,8 +51,8 @@ from .poly import Poly, format_terms, poly_gcd, poly_xgcd, pow_mod, square_and_m
 #: representation, with O(Q) exp/log/Zech arrays behind the arithmetic.
 TABLE_LIMIT = 4096
 
-#: Prime and tabulated levels this small keep full Q x Q add/mul tables,
-#: which the level above reads and a tabulated level also computes with.
+#: Tabulated levels this small compute with full Q x Q add/mul tables, and
+#: a vector level over a sublevel this small reads the sublevel's tables.
 SQUARE_TABLE_LIMIT = 128
 
 #: find_element_of_order walks the canonical scan only in fields up to this
@@ -133,27 +134,17 @@ class FieldElem:
         return self.ctx.rep_to_index(self.rep)
 
     def lift(self, target: "FieldCtx") -> "FieldElem":
-        """Embed into an extension built on top of this element's context."""
-        path = []
-        c = target
-        while c is not None and c is not self.ctx:
-            path.append(c)
-            c = c.subfield
-        if c is None:
+        """Embed into an extension built on top of this element's context:
+        target's element of the same index."""
+        if self.ctx not in _levels(target):
             raise ValueError("target is not an extension of this context")
-        rep = self.rep
-        for level in reversed(path):
-            rep = level.embed_from_sub(rep)
-        return FieldElem(target, rep)
+        return FieldElem(target, target.rep_from_index(self.index))
 
     def project(self, target: "FieldCtx") -> "FieldElem":
         """Inverse of lift: target's element of the same index, which must be
         below |target|; target is this element's context or a level below."""
-        c = self.ctx
-        while c is not target:
-            if c.subfield is None:
-                raise ValueError("target is not below this element's context")
-            c = c.subfield
+        if target not in _levels(self.ctx):
+            raise ValueError("target is not below this element's context")
         i = self.index
         if i >= target.cardinality:
             raise ValueError("element does not lie in the requested subfield")
@@ -171,6 +162,13 @@ class FieldElem:
 
     def __repr__(self) -> str:
         return self.ctx.rep_to_str(self.rep)
+
+
+def _levels(ctx):
+    """ctx and the levels below it, top down to the prime level."""
+    while ctx is not None:
+        yield ctx
+        ctx = ctx.subfield
 
 
 class FieldCtx:
@@ -209,9 +207,6 @@ class FieldCtx:
         ctx.mul = mul
         ctx.inv = inv
         ctx.scale = mul  # sublevel of the prime level is itself
-        if p <= SQUARE_TABLE_LIMIT:
-            ctx._add_t = [[ctx.add(a, b) for b in range(p)] for a in range(p)]
-            ctx._mul_t = [[mul(a, b) for b in range(p)] for a in range(p)]
         return ctx
 
     @staticmethod
@@ -259,11 +254,12 @@ class FieldCtx:
             return idx
 
         def vec_from_index(i):
+            # Digits past the top nonzero one are zero: a lifted scalar is one divmod.
             digits = []
-            for _ in range(d):
+            while i:
                 i, r = divmod(i, S)
                 digits.append(sub.rep_from_index(r))
-            return tuple(digits)
+            return tuple(digits) + ctx._vec_zero[len(digits):]
 
         ctx._vec_to_index = vec_to_index
         ctx._vec_from_index = vec_from_index
@@ -318,12 +314,6 @@ class FieldCtx:
             return self._vec_to_index(vec)
         return vec
 
-    def embed_from_sub(self, sub_rep):
-        """Rep of a sublevel element viewed one level up (positional)."""
-        if self.kind == "tabulated":
-            return self.subfield.rep_to_index(sub_rep)
-        return (sub_rep,) + (self.subfield.zero_rep,) * (self.step_degree - 1)
-
     def pow_rep(self, rep, e: int):
         if e < 0:
             rep = self.inv(rep)
@@ -366,16 +356,10 @@ class FieldCtx:
         return build_field(self.p, list(self.degrees) + [degree])
 
     def describe(self) -> dict:
-        moduli = []
-        c = self
-        chain = []
-        while c is not None and c.subfield is not None:
-            chain.append(c)
-            c = c.subfield
-        for level in reversed(chain):
-            moduli.append(
-                [level.subfield.rep_to_nested(cf) for cf in level.modulus.coeffs]
-            )
+        moduli = [
+            [level.subfield.rep_to_nested(cf) for cf in level.modulus.coeffs]
+            for level in reversed(list(_levels(self))[:-1])
+        ]
         return {"p": self.p, "degrees": list(self.degrees), "moduli": moduli}
 
     def __repr__(self) -> str:
@@ -447,7 +431,6 @@ def _install_log_ops(ctx: FieldCtx, vec_mul) -> None:
         add_t = [[add(a, b) for b in range(Q)] for a in range(Q)]
         mul_t = [[mul(a, b) for b in range(Q)] for a in range(Q)]
         neg_t = [neg(a) for a in range(Q)]
-        ctx._add_t, ctx._mul_t = add_t, mul_t
         ctx.add = lambda a, b: add_t[a][b]
         ctx.sub = lambda a, b: add_t[a][neg_t[b]]
         ctx.neg = lambda a: neg_t[a]
@@ -464,11 +447,15 @@ def _install_log_ops(ctx: FieldCtx, vec_mul) -> None:
 def _vector_ops(sub: FieldCtx, d: int, red: tuple):
     """Add/neg/mul/scale closures for a degree-d vector level over sub.
 
-    Sublevels of at most SQUARE_TABLE_LIMIT elements, prime or tabulated,
-    are read through their Q x Q tables; larger ones through their ops.
+    Over a sublevel of at most SQUARE_TABLE_LIMIT elements, prime or
+    tabulated, they read S x S tables built here from the sublevel's ops
+    (such reps are their own indices, so range(S) spans the sublevel);
+    over a larger one they call its ops.
     """
-    if sub.cardinality <= SQUARE_TABLE_LIMIT:
-        add_t, mul_t = sub._add_t, sub._mul_t
+    S = sub.cardinality
+    if S <= SQUARE_TABLE_LIMIT:
+        add_t = [[sub.add(a, b) for b in range(S)] for a in range(S)]
+        mul_t = [[sub.mul(a, b) for b in range(S)] for a in range(S)]
         neg_s = sub.neg
 
         def add(a, b):

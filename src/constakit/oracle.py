@@ -136,15 +136,9 @@ def oracle_pattern(c: ConstaCode) -> PatternPoly:
         if v == n:
             break
         for idx in range(1, ctx.cardinality):
-            alpha = ctx.elem(idx)
-            coeffs = [ctx.zero()] * (n - v + 1)
-            power = ctx.one()
-            for i in range(n // v):
-                coeffs[i * v] = power
-                power = power * alpha
-            p = Poly.from_elements(coeffs)
-            if p.divides(g):
-                return PatternPoly(n, v, alpha)
+            pattern = PatternPoly(n, v, ctx.elem(idx))
+            if pattern.polynomial().divides(g):
+                return pattern
     return PatternPoly(n, n, ctx.one())
 
 

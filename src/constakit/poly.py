@@ -221,21 +221,17 @@ class Poly:
             return other.is_zero
         return (other % self).is_zero
 
-    def eval_rep(self, point):
-        """Horner evaluation at a rep of the same context."""
-        ctx = self.ctx
-        acc = ctx.zero_rep
-        mul, add = ctx.mul, ctx.add
-        for c in reversed(self.coeffs):
-            acc = add(mul(acc, point), c)
-        return acc
-
     def __call__(self, point):
+        """Horner evaluation at an element of the same context."""
         from .field import FieldElem
 
-        if not isinstance(point, FieldElem) or point.ctx is not self.ctx:
+        ctx = self.ctx
+        if not isinstance(point, FieldElem) or point.ctx is not ctx:
             raise ValueError("evaluation point must belong to the same context")
-        return FieldElem(self.ctx, self.eval_rep(point.rep))
+        mul, add, x, acc = ctx.mul, ctx.add, point.rep, ctx.zero_rep
+        for c in reversed(self.coeffs):
+            acc = add(mul(acc, x), c)
+        return FieldElem(ctx, acc)
 
 
 # -- module-level operations ----------------------------------------------
@@ -269,11 +265,7 @@ def format_terms(ctx, reps: Sequence, var: str, text: Callable | None = None) ->
 
 
 def mul_mod_constacyclic(a: Poly, b: Poly, n: int, lam) -> Poly:
-    """a*b reduced by x**n = lam; both inputs must have degree < n.
-
-    Since deg(a*b) < 2n - 1, at most one wrap happens per exponent: the
-    coefficient of x**(n+i) folds onto x**i with a factor lam.
-    """
+    """(a*b) mod (x**n - lam), for n >= 1; both inputs must have degree < n."""
     from .field import FieldElem
 
     ctx = a.ctx
@@ -282,16 +274,11 @@ def mul_mod_constacyclic(a: Poly, b: Poly, n: int, lam) -> Poly:
     lam_rep = lam.rep if isinstance(lam, FieldElem) else lam
     if lam_rep == ctx.zero_rep:
         raise ValueError("constacyclic constant must be nonzero")
+    if n < 1:
+        raise ValueError(f"length n must be >= 1, got {n}")
     if a.degree >= n or b.degree >= n:
         raise ValueError(f"inputs must have degree < n = {n}")
-    prod = (a * b).coeffs
-    if len(prod) <= n:
-        return Poly(ctx, prod)
-    add, mul = ctx.add, ctx.mul
-    out = list(prod[:n])
-    for i, c in enumerate(prod[n:]):
-        out[i] = add(out[i], mul(lam_rep, c))
-    return Poly(ctx, out)
+    return (a * b) % (Poly.monomial(ctx, n) - Poly(ctx, (lam_rep,)))
 
 
 def _divide(ctx, rem: list, b: Sequence, quo: list | None = None) -> None:

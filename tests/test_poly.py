@@ -217,6 +217,13 @@ def test_mul_mod_constacyclic_matches_divmod(f3):
         assert mul_mod_constacyclic(a, b, 4, lam) == (a * b) % modulus
 
 
+def test_mul_mod_constacyclic_refuses_length_zero(f3):
+    """x^0 - 1 is the zero polynomial, so there is no ring to reduce into."""
+    zero = Poly.zero(f3)
+    with pytest.raises(ValueError, match="length n must be >= 1"):
+        mul_mod_constacyclic(zero, zero, 0, f3.one())
+
+
 def test_schur_componentwise(f3):
     u = f3.vector([1, 2, 0, 1])
     v = f3.vector([2, 2, 1, 1])
