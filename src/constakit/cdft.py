@@ -14,6 +14,19 @@ Spectra of vectors over F_q are generally not over F_q themselves.  The
 trace they leave instead is the constraint A_j^q = A_{q*j + t}, with the
 shift t defined by xi^t = beta^(q-1).  Orbits of j -> q*j + t on Z_n
 therefore index the monic irreducible factors of x^n - lam.
+
+Each output of either direction is computed on one of two paths, chosen
+by the splitting field's kind.  A vector level over the prime field F_p
+(m coordinates mod p) takes the packed sum: an element becomes one int
+with `bits` bits per coordinate, a term is one int multiply-add, and an
+output is unpacked and reduced once: slots m ... 2m-2 mod p, folded into
+the low m by the level's rows y^(m+i) mod its modulus, then each low
+slot mod p.
+A slot of a sum of n packed products is at most n*m*(p-1)^2 and the fold
+adds less than m*(p-1)^2, so bits, one past the bit length of
+n*m*(p-1)^2, leaves no carry.  Every other splitting field (prime,
+tabulated, or vector over a tabulated or vector level) takes the term
+loop: one field multiplication and one field addition per term.
 """
 
 from __future__ import annotations
@@ -173,9 +186,7 @@ class RootBasis:
         if len(values) != n:
             raise ValueError(f"spectrum must have exactly n = {n} values")
         reps = self._reps(values, spl, "spectrum values must lie in the splitting field")
-        n_inv = spl.rep_from_index(pow(n, -1, spl.p))
-        reps = [spl.mul(r, n_inv) for r in reps]
-        return self._transform(range(0, -n, -1), self._point_exp, reps, spl)
+        return self._transform(range(0, -n, -1), self._point_exp, reps, spl, pow(n, -1, spl.p))
 
     def _reps(self, elems, ctx: FieldCtx, message: str) -> list:
         n = self.n
@@ -191,22 +202,43 @@ class RootBasis:
     def _spectrum(self, reps, ctx: FieldCtx) -> "Spectrum":
         return Spectrum(self, self._transform(self._point_exp, range(self.n), reps, ctx))
 
-    def _transform(self, us, vs, reps, ctx: FieldCtx) -> tuple[FieldElem, ...]:
-        """out_r = sum_c delta^(u_r * v_c) * x_c, for x_c = reps[c] over ctx.
+    def _transform(self, us, vs, reps, ctx: FieldCtx, scale: int = 1) -> tuple[FieldElem, ...]:
+        """out_r = scale * sum_c delta^(u_r * v_c) * x_c, x_c = reps[c] over ctx.
 
-        ctx is the splitting field or the level just below it.  In the
-        latter case each term is spl.scale, a componentwise product by a
-        sublevel element; at prime and tabulated levels scale is mul,
-        because sublevel indices embed as themselves.
+        ctx is the splitting field or the level just below it, and scale is
+        an integer mod p.  A vector splitting field over F_p takes the
+        packed sum of the module docstring: x_c is packed (a residue mod p
+        below the splitting field), and the no-carry bound on its slots
+        sets BasisFamily.packed's bits.  Every other splitting field takes
+        the term loop: one field mul or scale and one add per term, where
+        scale is a componentwise product by a sublevel element (mul at
+        prime and tabulated levels, whose sublevel indices embed as
+        themselves).
         """
         fam = self.family
-        spl = fam.splitting
-        add, zero = spl.add, spl.zero_rep
-        term = spl.mul if ctx is spl else spl.scale
-        e = fam.delta_order
-        dp = fam.power_rep
+        spl, e = fam.splitting, fam.delta_order
         terms = [(v, x) for v, x in zip(vs, reps) if x != ctx.zero_rep]
         out = []
+        if spl.kind == "vector" and spl.subfield.kind == "prime":
+            p, bits, pack, power, red = spl.p, *fam.packed
+            slot, top = (1 << bits) - 1, bits * spl.step_degree
+            terms = [(v, pack([c * scale % p for c in x]) if ctx is spl else x * scale % p)
+                     for v, x in terms]
+            for u in us:
+                acc = sum(x * power(u * v % e) for v, x in terms)
+                high, acc = acc >> top, acc & ((1 << top) - 1)
+                for row in red:
+                    if not high:
+                        break
+                    acc += (high & slot) % p * row
+                    high >>= bits
+                out.append(FieldElem(spl, tuple((acc >> s & slot) % p for s in range(0, top, bits))))
+            return tuple(out)
+        if scale != 1:
+            factor = spl.rep_from_index(scale)
+            terms = [(v, spl.mul(x, factor)) for v, x in terms]
+        add, zero, dp = spl.add, spl.zero_rep, fam.power_rep
+        term = spl.mul if ctx is spl else spl.scale
         for u in us:
             acc = zero
             for v, x in terms:
@@ -362,8 +394,7 @@ class BasisFamily:
             raise ValueError(
                 f"a splitting field for n*o >= 2**64 exceeds the cap {DEFAULT_MAX_CARDINALITY}"
             )
-        m = mult_order_mod(q, e)
-        self.splitting = spl = field if m == 1 else field.extend(m)
+        self.splitting = spl = field.extend(mult_order_mod(q, e))
         if n > MAX_LENGTH:
             raise ValueError(f"length {n} exceeds the cap {MAX_LENGTH}")
         self.delta = find_element_of_order(spl, e)
@@ -377,6 +408,27 @@ class BasisFamily:
         else:
             self.power_rep = cache(partial(spl.pow_rep, self.delta.rep))
         self._by_exp: dict[int, RootBasis] = {}
+
+    @cached_property
+    def packed(self):
+        """(bits, pack, power, red) for a vector splitting field over F_p.
+
+        pack(rep) = sum_i rep[i] * 2^(bits*i); power(k) is delta^k packed,
+        tabled or memoized like power_rep; red is the level's _red packed.
+        bits is one past the bit length of n*m*(p-1)^2 (see the module
+        docstring), so no slot of a packed sum carries into the next.
+        """
+        spl, e, dp = self.splitting, self.delta_order, self.power_rep
+        bits = (self.n * spl.step_degree * (spl.p - 1) ** 2).bit_length() + 1
+
+        def pack(rep):
+            return sum(c << bits * i for i, c in enumerate(rep))
+
+        if e <= EAGER_POWER_LIMIT:
+            power = [pack(dp(k)) for k in range(e)].__getitem__
+        else:
+            power = cache(lambda k: pack(dp(k)))
+        return bits, pack, power, [pack(row) for row in spl._red]
 
     def delta_pow(self, k: int) -> FieldElem:
         return FieldElem(self.splitting, self.power_rep(k % self.delta_order))

@@ -41,6 +41,7 @@ find_element_of_order.
 
 from __future__ import annotations
 
+import math
 from array import array
 from typing import Iterable, Iterator, Sequence
 
@@ -363,12 +364,7 @@ class FieldCtx:
         return {"p": self.p, "degrees": list(self.degrees), "moduli": moduli}
 
     def __repr__(self) -> str:
-        if not self.degrees:
-            return f"GF({self.p})"
-        total = 1
-        for d in self.degrees:
-            total *= d
-        return f"GF({self.p}^{total})" if total > 1 else f"GF({self.p})"
+        return f"GF({self.p}^{math.prod(self.degrees)})" if self.degrees else f"GF({self.p})"
 
 
 _CTX_TOKEN = object()
@@ -559,8 +555,6 @@ def _first_irreducible(sub: FieldCtx, degree: int) -> Poly:
     Niederreiter, Thm 3.75), so the scan starts at S.  The scan tests at
     most MODULUS_SCAN_BUDGET candidates and raises ValueError after that.
     """
-    if degree < 1:
-        raise ValueError("extension degree must be >= 1")
     S = sub.cardinality
     start = S if any((S - 1) % r for r in nt.factorint(degree)) else 0
     for idx in range(start, min(S**degree, start + MODULUS_SCAN_BUDGET)):
@@ -581,13 +575,15 @@ def build_field(p: int, degrees: Sequence[int]) -> FieldCtx:
     """Deterministically build the tower F_p < F_p^d1 < (F_p^d1)^d2 < ...
 
     Equal (p, degrees) always return the identical context object, so
-    element contexts can be compared by identity.  The constructor refuses
+    element contexts can be compared by identity; a degree of 1 adds no
+    level, so each field has one tower.  The constructor refuses
     towers, primes included, above DEFAULT_MAX_CARDINALITY before testing p,
     and decides from bit lengths past 2**128, so it never forms a huge power.
     """
     degs = tuple(int(d) for d in degrees)
     if any(d < 1 for d in degs):
         raise ValueError("extension degrees must be >= 1")
+    degs = tuple(d for d in degs if d > 1)
     card = p
     for d in (1,) + degs:
         # card**d >= 2**((card.bit_length() - 1) * d): past 2**128 it is not formed

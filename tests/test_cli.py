@@ -90,6 +90,15 @@ def test_factor_extension_field(capsys):
             assert isinstance(coeff, list) and len(coeff) == 2
 
 
+@pytest.mark.parametrize("degrees", ["[1]", "1", "[1,1]"])
+def test_degree_one_adds_no_level(capsys, degrees):
+    """GF(2) with or without degree-1 levels is one field, printed the same."""
+    argv = ["factor", "--p", "2", "--n", "7", "--lambda", "1"]
+    plain = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv, "--degrees", degrees) == plain
+    assert plain[0] == 0
+
+
 def test_product_square_negacyclic(capsys):
     rc, doc = run_json(
         capsys, "product", "--p", "3", "--n", "4", "--lambda", "2",

@@ -1,0 +1,130 @@
+"""The packed transform against results computed without a transform.
+
+A vector splitting field over a prime sublevel takes the packed sum in
+RootBasis._transform.  Its spectra are checked here against Horner
+evaluation (Poly.__call__, which multiplies in the splitting field one
+term at a time) of the vector's polynomial at each point, and its inverse
+against the vector it came from.  The cases reach a wide and a narrow
+prime, a long length, lazily memoized delta powers and the widest slots.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from constakit import CodeParams, Poly, build_basis, build_field
+from constakit.cdft import EAGER_POWER_LIMIT
+
+
+def _basis(p, n, lam):
+    field = build_field(p, [])
+    return build_basis(CodeParams(field, n, field.elem(lam)))
+
+
+def _is_packed(basis):
+    spl = basis.splitting
+    return spl.kind == "vector" and spl.subfield.kind == "prime"
+
+
+def _packed_basis(p, n, lam):
+    basis = _basis(p, n, lam)
+    assert _is_packed(basis)
+    return basis
+
+
+def _lifted(basis, a):
+    return [x.lift(basis.splitting) for x in a]
+
+
+def _check_against_horner(basis, a, js):
+    """forward(a) at each j in js is a's polynomial at point j; inverse undoes it."""
+    spectrum = basis.forward(a)
+    up = Poly.from_elements(_lifted(basis, a))
+    for j in js:
+        assert spectrum[j] == up(basis.point(j)), j
+    return spectrum
+
+
+@pytest.mark.parametrize(
+    "p,n,lams,vectors",
+    [(5, 16, [1, 2, 3, 4], 3), (3, 16, [2], 5), (2, 47, [1], 3)],
+    ids=["F5-n16", "F3-n16", "F2-n47"],
+)
+def test_packed_spectra_match_horner_and_invert(p, n, lams, vectors):
+    rng = random.Random(f"{p}-{n}")
+    for lam in lams:
+        basis = _basis(p, n, lam)
+        # Over F_5, lam = 1 splits in GF(5^4), a tabulated level: the term
+        # loop, checked the same way.
+        assert _is_packed(basis) != ((p, lam) == (5, 1))
+        field = basis.params.field
+        for _ in range(vectors):
+            a = [field.elem(rng.randrange(p)) for _ in range(n)]
+            spectrum = _check_against_horner(basis, a, range(n))
+            assert list(basis.inverse(spectrum)) == _lifted(basis, a)
+
+
+def test_packed_widest_slots_with_lazy_delta_powers():
+    """GF(4099^2): a primitive lam gives delta of order 2 * 4098, past the
+    eager table, and (p - 1)^2 makes the widest slot of every case here."""
+    p = 4099
+    lam = next(g for g in range(2, p) if all(pow(g, (p - 1) // r, p) != 1 for r in (2, 3, 683)))
+    basis = _packed_basis(p, 2, lam)
+    assert basis.delta_order > EAGER_POWER_LIMIT
+    field, rng = basis.params.field, random.Random(4099)
+    for _ in range(50):
+        a = [field.elem(rng.randrange(p)) for _ in range(2)]
+        spectrum = _check_against_horner(basis, a, range(2))
+        assert list(basis.inverse(spectrum)) == _lifted(basis, a)
+
+
+def test_packed_forward_at_length_1001_matches_horner():
+    """F_2 at n = 1001 splits in GF(2^60); five seeded points are checked."""
+    basis = _packed_basis(2, 1001, 1)
+    assert basis.splitting.cardinality == 2**60
+    rng = random.Random(1001)
+    a = [basis.params.field.elem(rng.randrange(2)) for _ in range(1001)]
+    _check_against_horner(basis, a, rng.sample(range(1001), 5))
+
+
+def test_packed_inverse_makes_no_splitting_field_mul(monkeypatch):
+    """A GF(5^16) inverse never falls back to the term loop."""
+    basis = _packed_basis(5, 16, 2)
+    spl, field = basis.splitting, basis.params.field
+    spectrum = basis.forward([field.elem(i % 5) for i in range(16)])
+    calls = []
+    for name in ("mul", "scale", "add"):
+        op = getattr(spl, name)
+        monkeypatch.setattr(spl, name, lambda *args, _op=op, _name=name: calls.append(_name) or _op(*args))
+    back = basis.inverse(spectrum)
+    assert calls == []
+    assert [x.project(field).index for x in back] == [i % 5 for i in range(16)]
+
+
+@st.composite
+def packed_points(draw):
+    """(p, n, lam) whose splitting field is a vector level over F_p."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(1, 40).filter(lambda n: math.gcd(n, p) == 1))
+    lam = draw(st.integers(1, p - 1))
+    field = build_field(p, [])
+    params = CodeParams(field, n, field.elem(lam))
+    # Past 4096 elements the splitting field is a vector level; at most 2^40
+    # keeps each field's build and delta search short.
+    assume(4096 < p**params.splitting_degree <= 2**40)
+    return p, n, lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(point=packed_points(), seed=st.integers(0, 2**32))
+def test_packed_transforms_are_mutually_inverse(point, seed):
+    basis = _packed_basis(*point)
+    spl, field, n = basis.splitting, basis.params.field, basis.n
+    rng = random.Random(seed)
+    a = [field.elem(rng.randrange(field.cardinality)) for _ in range(n)]
+    assert list(basis.inverse(basis.forward(a))) == _lifted(basis, a)
+    values = [spl.elem(rng.randrange(spl.cardinality)) for _ in range(n)]
+    assert list(basis.forward_extended(basis.inverse(values)).values) == values
