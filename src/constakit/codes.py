@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .cdft import CodeParams, RootBasis, basis_family
 from .field import FieldElem
 from .numbertheory import is_prime
-from .poly import Poly, poly_gcd, reciprocal
+from .poly import Poly, _divide, poly_gcd, reciprocal
 from .zn import ZnSet, fourier_bias, iterated_sumset, smallest_coset, sumset
 
 
@@ -270,7 +270,7 @@ def schur_product_gcd(
 
     The generator is gcd({g o (x^j g2) : 0 <= j < n - deg g2}, x^n - lam1*lam2)
     with g = g1*s mod (x^n - lam1) for any s coprime to (x^n - lam1)/g1
-    (s = 1 when omitted).  The rows stop once the gcd reaches 1.
+    (s = 1 when omitted).  Euclid runs on bare lists and stops at gcd 1.
     """
     basis = product_basis(c1, c2)
     params3 = basis.params
@@ -284,15 +284,20 @@ def schur_product_gcd(
         if poly_gcd(s, xn1 // g).degree != 0:
             raise ValueError("s shares a factor with (x^n - lam1)/g1")
         g = g * s
-    g_padded = (g % xn1).padded(n)
-    acc = params3.xn_minus_lam
+    if g.degree >= n:  # only with s given, or for the zero code
+        g = g % xn1
+    g_padded, zero = g.padded(n), ctx.zero_rep
+    acc = list(params3.xn_minus_lam.coeffs)
     for row in c2.generator.shifts(n):
-        prod = Poly(ctx, map(ctx.mul, g_padded, row))
-        if not prod.is_zero:
-            acc = poly_gcd(acc, prod)
-            if acc.degree == 0:
-                break
-    return code_from_generator(params3, acc, basis)
+        r = list(map(ctx.mul, g_padded, row))
+        while r and r[-1] == zero:
+            r.pop()
+        while r:
+            _divide(ctx, acc, r)
+            acc, r = r, acc
+        if len(acc) == 1:
+            break
+    return code_from_generator(params3, Poly._of(ctx, tuple(acc)).monic(), basis)
 
 
 def schur_power(c: ConstaCode, i: int) -> ConstaCode:

@@ -12,12 +12,11 @@ is the vector's own entry there, and only the free (non-pivot) columns take
 arithmetic: a full-rank echelon is built and checked closed without more.
 The product oracle feeds rref vectors in descending-degree coordinates
 (x^(n-1) first, x^0 last), so the last echelon row is the monic element
-of least degree: the generator.
+of least degree: the generator.  It forms one Schur product per shift
+diagonal and takes the diagonal's other pairs as shifts of it.
 """
 
 from __future__ import annotations
-
-from itertools import combinations_with_replacement, product
 
 from .codes import ConstaCode, PatternPoly
 from .numbertheory import divisors
@@ -77,9 +76,10 @@ def rref(ctx, rows) -> tuple[list[tuple], list[int]]:
     return [tuple(echelon[i]) for i in order], [pivots[i] for i in order]
 
 
-def span_contains(ctx, echelon, pivots, vec) -> bool:
-    """Whether vec lies in the row space given by rref output."""
-    free = [j for j in range(len(vec)) if j not in pivots]
+def span_contains(ctx, echelon, pivots, vec, free=None) -> bool:
+    """Whether vec lies in the row space given by rref output; free: its non-pivot columns."""
+    if free is None:
+        free = [j for j in range(len(vec)) if j not in pivots]
     return all(c == ctx.zero_rep for c in _reduce(ctx, echelon, pivots, free, vec))
 
 
@@ -91,12 +91,12 @@ def generator_rows(c: ConstaCode) -> list[tuple]:
 def oracle_schur_product(c1: ConstaCode, c2: ConstaCode) -> tuple[int, Poly]:
     """(dim, monic generator) of the componentwise product span.
 
-    Forms all distinct pairwise Schur products of the two shift bases in
-    descending-degree coordinates (each unordered pair once when the bases
-    are equal) and row reduces them once.  The span is checked to be closed
-    under the lam1*lam2 constacyclic shift; that closure makes it an ideal,
-    whose monic element of least degree (the last echelon row) is its
-    generator.
+    Row reduces the distinct Schur products (x^i g1) o (x^j g2), i < k1, j < k2,
+    once, in descending-degree coordinates.  Rows do not wrap, so diagonal
+    d = j - i holds the shifts of one product, taken nearest d = 0 first; a
+    square reads d >= 0 only.  The span is checked closed under the lam1*lam2
+    shift, which makes it an ideal whose monic element of least degree (the
+    last echelon row) is its generator.
     """
     p1, p2 = c1.params, c2.params
     if p1.field is not p2.field or p1.n != p2.n:
@@ -106,19 +106,23 @@ def oracle_schur_product(c1: ConstaCode, c2: ConstaCode) -> tuple[int, Poly]:
     lam3 = p1.lam * p2.lam
     rows1 = [r[::-1] for r in generator_rows(c1)]
     rows2 = [r[::-1] for r in generator_rows(c2)]
-    # The Schur product commutes, so a square needs each unordered pair once.
-    pairs = (
-        combinations_with_replacement(rows1, 2) if rows1 == rows2 else product(rows1, rows2)
-    )
-    products = dict.fromkeys(tuple(map(ctx.mul, a, b)) for a, b in pairs)
-    echelon, pivots = rref(ctx, products)
-    for r in echelon if len(echelon) < n else ():
-        shifted = r[1:] + (ctx.mul(lam3.rep, r[0]),)
-        if not span_contains(ctx, echelon, pivots, shifted):
-            raise AssertionError("product span is not constacyclic; theory violated")
-    dim = len(echelon)
-    if dim == 0:
+    k1, k2 = len(rows1), len(rows2)
+    if not k1 or not k2:
         return 0, Poly.monomial(ctx, n) - Poly.from_elements([lam3])
+    # In a square, diagonal -d holds the products of diagonal d, swapped.
+    products, pad = {}, (ctx.zero_rep,)
+    for d in sorted(range(0 if rows1 == rows2 else 1 - k1, k2), key=abs):
+        i = max(0, -d)
+        h = tuple(map(ctx.mul, rows1[i], rows2[i + d]))
+        for t in range(min(k1 - i, k2 - i - d)):
+            products[h[t:] + pad * t] = None
+    echelon, pivots = rref(ctx, list(products))
+    dim = len(echelon)
+    free = [j for j in range(n) if j not in pivots]
+    for r in echelon if dim < n else ():
+        shifted = r[1:] + (ctx.mul(lam3.rep, r[0]),)
+        if not span_contains(ctx, echelon, pivots, shifted, free):
+            raise AssertionError("product span is not constacyclic; theory violated")
     gen = Poly(ctx, echelon[-1][::-1])
     if gen.degree != n - dim:
         raise AssertionError("generator degree disagrees with rank")

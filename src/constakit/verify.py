@@ -131,6 +131,7 @@ def _check_single_code(c: cd.ConstaCode, rec: _Recorder, ctxinfo: dict) -> None:
 def _check_pair(
     c1: cd.ConstaCode,
     c2: cd.ConstaCode,
+    key: tuple[int, int],
     oracle_cache: dict,
     rec: _Recorder,
     ctxinfo: dict,
@@ -140,7 +141,6 @@ def _check_pair(
     by_sum = cd.schur_product_sumset(c1, c2)
     by_gcd = cd.schur_product_gcd(c1, c2)
 
-    key = frozenset({c1, c2})
     if key not in oracle_cache:
         oracle_cache[key] = oc.oracle_schur_product(c1, c2)
     oracle_dim, oracle_gen = oracle_cache[key]
@@ -203,10 +203,11 @@ def run_grid_verification(
                     _check_single_code(c, rec, ctxinfo)
 
                 oracle_cache: dict = {}
-                for c1 in all_codes:
-                    for c2 in all_codes:
+                for i, c1 in enumerate(all_codes):
+                    for j, c2 in enumerate(all_codes):
                         corrupt_this = corrupt and pairs_checked == 0
-                        _check_pair(c1, c2, oracle_cache, rec, ctxinfo, corrupt_this)
+                        key = (min(i, j), max(i, j))
+                        _check_pair(c1, c2, key, oracle_cache, rec, ctxinfo, corrupt_this)
                         pairs_checked += 1
 
     return {

@@ -368,12 +368,15 @@ def test_product_methods_match_oracle_sampled(f5):
 
 
 def test_product_with_zero_code(f3):
+    """A zero code on either side: each method gives the zero code."""
     params = CodeParams(f3, 4, f3.elem(2))
     zero = code_from_generator(params, params.xn_minus_lam)
-    other = all_codes(f3, 4, f3.elem(2))[1]
-    prod = schur_product_sumset(zero, other)
-    assert prod.is_zero
-    assert schur_product_gcd(zero, other).is_zero
+    for other in all_codes(f3, 4, f3.elem(2)):
+        for c1, c2 in ((zero, other), (other, zero)):
+            prod = schur_product_sumset(c1, c2)
+            assert prod.is_zero
+            assert schur_product_gcd(c1, c2) == prod
+            assert oracle_schur_product(c1, c2) == (0, prod.generator)
 
 
 def test_product_requires_same_length(f3):
@@ -421,18 +424,45 @@ def test_gcd_method_custom_multiplier(f3, f5, negacyclic_example):
         schur_product_gcd(negacyclic_example, negacyclic_example, Poly.one(f5))
 
 
-def test_gcd_product_of_full_codes_takes_one_gcd(f3, monkeypatch):
+def test_gcd_product_of_full_codes_takes_one_gcd(f3, hamming_example, monkeypatch):
+    """Full x full: the first row is the constant 1, so Euclid takes one
+    division, x^n - 1 by 1, and stops at gcd 1.  The Hamming square reaches
+    gcd 1 at its second row, g o x*g = x, and reads none of the rows after."""
     calls = []
-    real = codes_module.poly_gcd
+    real = codes_module._divide
 
-    def counting(a, b):
-        calls.append((a, b))
-        return real(a, b)
+    def counting(ctx, rem, b, quo=None):
+        calls.append((list(rem), list(b)))
+        return real(ctx, rem, b, quo)
 
-    monkeypatch.setattr(codes_module, "poly_gcd", counting)
+    monkeypatch.setattr(codes_module, "_divide", counting)
     full = code_from_generator(CodeParams(f3, 8, f3.one()), Poly.one(f3))
     assert schur_product_gcd(full, full).is_full
-    assert len(calls) == 1
+    assert calls == [(list(full.params.xn_minus_lam.coeffs), [f3.one_rep])]
+    calls.clear()
+    assert schur_product_gcd(hamming_example, hamming_example).is_full
+    # x^7 - 1 by g leaves 0; then g by x leaves 1, and x by 1 leaves 0.
+    assert [len(b) - 1 for _, b in calls] == [3, 1, 0]
+
+
+def test_gcd_product_reduces_g_times_s_past_the_length(f3, f5, negacyclic_example):
+    """deg(g1*s) >= n takes the kept g % (x^n - lam1) branch; the product is
+    the one the sumset route and the oracle give, for every code c2."""
+    s = Poly(f3, [1, 1, 0, 1])  # x^3 + x + 1: deg(g1*s) = 5 >= 4, coprime to h1
+    assert (negacyclic_example.generator * s).degree >= 4
+    for c2 in all_codes(f3, 4, f3.elem(2)) + all_codes(f3, 4, f3.one()):
+        by_gcd = schur_product_gcd(negacyclic_example, c2, s)
+        assert by_gcd == schur_product_sumset(negacyclic_example, c2)
+        assert (by_gcd.dim, by_gcd.generator) == oracle_schur_product(negacyclic_example, c2)
+    # x^6 + x + 1 = x + 3 mod x^6 - 2, coprime to it as 2^6 = 4 != 2 in F_5;
+    # deg(g1*s) >= 6 for every g1, and the zero code's g1*s reduces to 0.
+    s = Poly(f5, [1, 1, 0, 0, 0, 0, 1])
+    codes = all_codes(f5, 6, f5.elem(2))
+    for c1 in codes:
+        for c2 in codes:
+            by_gcd = schur_product_gcd(c1, c2, s)
+            assert by_gcd == schur_product_sumset(c1, c2)
+            assert (by_gcd.dim, by_gcd.generator) == oracle_schur_product(c1, c2)
 
 
 def _orbit_grid():

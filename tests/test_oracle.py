@@ -70,12 +70,29 @@ def test_oracle_square_hamming(hamming_example):
     assert gen == Poly.one(hamming_example.params.field)
 
 
-def _ordered_pair_square(c):
-    """(dim, generator) of c's square from all k*k ordered pairs of shifts."""
-    ctx = c.params.field
-    rows = [r[::-1] for r in generator_rows(c)]
-    echelon, _ = rref(ctx, dict.fromkeys(tuple(map(ctx.mul, a, b)) for a in rows for b in rows))
+def _every_ordered_pair(c1, c2):
+    """(dim, generator) of c1 o c2 from all k1*k2 ordered pairs of shifts."""
+    ctx, n = c1.params.field, c1.params.n
+    rows1 = [r[::-1] for r in generator_rows(c1)]
+    rows2 = [r[::-1] for r in generator_rows(c2)]
+    echelon, _ = rref(ctx, [tuple(map(ctx.mul, a, b)) for a in rows1 for b in rows2])
+    if not echelon:
+        return 0, Poly.monomial(ctx, n) - Poly.from_elements([c1.params.lam * c2.params.lam])
     return len(echelon), Poly(ctx, echelon[-1][::-1])
+
+
+def _codes(field, n, lam):
+    """Every code of length n over field with constant lam, zero and full included."""
+    basis = basis_family(field, n).basis_for_lambda(lam)
+    factors = basis.irreducible_factors()
+    out = []
+    for mask in range(1 << len(factors)):
+        g = Poly.one(field)
+        for i, f in enumerate(factors):
+            if mask >> i & 1:
+                g = g * f
+        out.append(code_from_generator(basis.params, g, basis))
+    return out
 
 
 def test_oracle_square_forms_each_unordered_pair_once(
@@ -90,8 +107,29 @@ def test_oracle_square_forms_each_unordered_pair_once(
         CodeParams(f4, 5, f4.one()), fam.basis_for_lambda(f4.one()).irreducible_factors()[1]
     )
     for c in (negacyclic_example, hamming_example, degenerate_example, repetition, over_f4):
-        assert oracle_schur_product(c, c) == _ordered_pair_square(c)
+        assert oracle_schur_product(c, c) == _every_ordered_pair(c, c)
     assert oracle_schur_product(repetition, repetition) == (1, repetition.generator)
+
+
+@pytest.mark.parametrize(
+    "p, degrees, n, lams",
+    [
+        (3, [], 4, (1, 2)),  # every lam, so distinct-lam pairs too
+        (5, [], 6, (2, 3)),
+        (2, [2], 5, (1, 2)),  # GF(4), tabulated
+        (3, [2], 4, (3, 5)),  # GF(9), tabulated
+        (2, [], 15, (1,)),  # five orbits, 32 codes
+    ],
+)
+def test_oracle_product_equals_every_ordered_pair(p, degrees, n, lams):
+    """One product per shift diagonal spans what all k1*k2 ordered products
+    span, on every pair: distinct codes, distinct lam, zero and full codes."""
+    field = build_field(p, degrees)
+    codes = [c for lam in lams for c in _codes(field, n, field.elem(lam))]
+    assert any(c.is_zero for c in codes) and any(c.is_full for c in codes)
+    for c1 in codes:
+        for c2 in codes:
+            assert oracle_schur_product(c1, c2) == _every_ordered_pair(c1, c2), (c1, c2)
 
 
 def test_oracle_zero_factor(f3):

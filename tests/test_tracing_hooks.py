@@ -57,3 +57,20 @@ def test_field_ops_and_kinds_match_the_contexts(tracing):
             assert callable(getattr(ctx, attr)), (ctx, attr)
     field_module = importlib.import_module("constakit.field")
     assert {ctx.kind for ctx in field_module._FIELD_CACHE.values()} <= set(tracing.KINDS)
+
+
+def test_traced_oracle_product_counts_its_rref_rows(tracing, negacyclic_example, hamming_example):
+    """The tracer reads len() of rref's rows, so the oracle must hand rref a
+    sized sequence; a lazy one would fail the traced benchmark run."""
+    from constakit import oracle_schur_product
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert oracle_schur_product(negacyclic_example, negacyclic_example)[0] == 3
+        assert oracle_schur_product(hamming_example, hamming_example)[0] == 7
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(1)
+    assert metrics["oracle.rref.calls"] == 2
+    assert metrics["oracle.rref.rows"] > 0
