@@ -15,18 +15,23 @@ trace they leave instead is the constraint A_j^q = A_{q*j + t}, with the
 shift t defined by xi^t = beta^(q-1).  Orbits of j -> q*j + t on Z_n
 therefore index the monic irreducible factors of x^n - lam.
 
-Each output of either direction is computed on one of two paths, chosen
-by the splitting field's kind.  A vector level over the prime field F_p
-(m coordinates mod p) takes the packed sum: an element becomes one int
-with `bits` bits per coordinate, a term is one int multiply-add, and an
-output is unpacked and reduced once: slots m ... 2m-2 mod p, folded into
-the low m by the level's rows y^(m+i) mod its modulus, then each low
-slot mod p.
-A slot of a sum of n packed products is at most n*m*(p-1)^2 and the fold
-adds less than m*(p-1)^2, so bits, one past the bit length of
-n*m*(p-1)^2, leaves no carry.  Every other splitting field (prime,
-tabulated, or vector over a tabulated or vector level) takes the term
-loop: one field multiplication and one field addition per term.
+Each output of either direction is computed on one of three paths,
+chosen by the splitting field's kind.  A vector level over the prime
+field F_p (m coordinates mod p) takes the packed sum: an element becomes
+one int with `bits` bits per coordinate, a term is one int multiply-add,
+and an output is unpacked and reduced once: slots m ... 2m-2 mod p,
+folded into the low m by the level's rows y^(m+i) mod its modulus, then
+each low slot mod p.  A slot of a sum of n packed products is at most
+n*m*(p-1)^2 and the fold adds less than m*(p-1)^2, so bits, one past the
+bit length of n*m*(p-1)^2, leaves no carry.  A tabulated splitting field
+takes the log-domain sum on its exp/log/Zech arrays: term c of output r
+has log u_r*v_c*log(delta) + log(x_c) + log(scale) mod Q - 1, and the
+sum's log a steps a <- a + Zech[b - a], Zech[d] = log(1 + g^d), one
+lookup per term.  That step is the field's own addition, so the sum is
+exact; Zech = -1 marks a sum that cancelled, and the next term restarts
+it.  Prime splitting fields and vector levels over a tabulated or vector
+level take the term loop: one field multiplication and one field
+addition per term.
 """
 
 from __future__ import annotations
@@ -206,14 +211,12 @@ class RootBasis:
         """out_r = scale * sum_c delta^(u_r * v_c) * x_c, x_c = reps[c] over ctx.
 
         ctx is the splitting field or the level just below it, and scale is
-        an integer mod p.  A vector splitting field over F_p takes the
-        packed sum of the module docstring: x_c is packed (a residue mod p
-        below the splitting field), and the no-carry bound on its slots
-        sets BasisFamily.packed's bits.  Every other splitting field takes
-        the term loop: one field mul or scale and one add per term, where
-        scale is a componentwise product by a sublevel element (mul at
-        prime and tabulated levels, whose sublevel indices embed as
-        themselves).
+        an integer mod p.  The path is the module docstring's.  Packed: x_c
+        is packed (a residue mod p below the splitting field), and the
+        no-carry bound on its slots sets BasisFamily.packed's bits.  Log
+        domain: x_c and scale are indices in the splitting field too, so
+        their logs are read directly.  Term loop: one add and one mul per
+        term, or a componentwise scale when x_c lies in the sublevel.
         """
         fam = self.family
         spl, e = fam.splitting, fam.delta_order
@@ -233,6 +236,21 @@ class RootBasis:
                     acc += (high & slot) % p * row
                     high >>= bits
                 out.append(FieldElem(spl, tuple((acc >> s & slot) % p for s in range(0, top, bits))))
+            return tuple(out)
+        if spl.kind == "tabulated":
+            exp, log, zech = spl._logs
+            n1, ell = spl.cardinality - 1, log[fam.delta.rep]
+            terms = [(v * ell, log[x] + log[scale]) for v, x in terms]
+            for u in us:
+                a = None  # the log of the sum so far, None while it is zero
+                for w, b in terms:
+                    b += u * w
+                    if a is None:
+                        a = b
+                    else:
+                        z = zech[(b - a) % n1]
+                        a = a + z if z >= 0 else None
+                out.append(FieldElem(spl, 0 if a is None else exp[a % n1]))
             return tuple(out)
         if scale != 1:
             factor = spl.rep_from_index(scale)

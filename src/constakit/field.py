@@ -20,7 +20,8 @@ non-leading coefficients.
 Representations.  Internally an element of a level is
   * an int residue, at the prime level;
   * an int canonical index, at levels of at most TABLE_LIMIT (4096)
-    elements, with arithmetic on exp/log/Zech arrays of O(Q) entries;
+    elements, with arithmetic on exp/log/Zech arrays of O(Q) entries,
+    which cdft also reads for its log-domain transform sum;
     levels of at most SQUARE_TABLE_LIMIT (128) elements derive full
     Q x Q add/mul tables from those arrays and use them instead;
   * a tuple of sublevel representations otherwise; over a sublevel of at
@@ -396,6 +397,7 @@ def _install_log_ops(ctx: FieldCtx, vec_mul) -> None:
     # Entries lie in [-1, Q), Q <= TABLE_LIMIT; "h" raises OverflowError past 32767.
     zech = array("h", [logs[j] if j else -1 for j in one_plus])
     exp, log = array("h", powers * 2), array("h", logs)
+    ctx._logs = exp, log, zech  # cdft sums transforms in the log domain
     half = n1 // 2
 
     def mul(a, b):
@@ -554,10 +556,24 @@ def _first_irreducible(sub: FieldCtx, degree: int) -> Poly:
     d does not divide S - 1 none of them is irreducible (Lidl &
     Niederreiter, Thm 3.75), so the scan starts at S.  The scan tests at
     most MODULUS_SCAN_BUDGET candidates and raises ValueError after that.
+    In characteristic 2 at degree 2 the scan's block x**2 + x + c is
+    irreducible iff c has absolute trace 1 (ibid., Cor. 3.79); Tr is linear
+    in the bits of c's index, so the first such c is 2**j for the least j
+    with Tr(2**j) = 1, and the scan jumps there.
     """
     S = sub.cardinality
     start = S if any((S - 1) % r for r in nt.factorint(degree)) else 0
-    for idx in range(start, min(S**degree, start + MODULUS_SCAN_BUDGET)):
+    stop = min(S**degree, start + MODULUS_SCAN_BUDGET)
+    if sub.p == 2 and degree == 2:
+        for j in range(S.bit_length() - 1):
+            x = t = sub.rep_from_index(1 << j)
+            for _ in range(S.bit_length() - 2):
+                x = sub.mul(x, x)
+                t = sub.add(t, x)
+            if t == sub.one_rep:
+                start += 1 << j
+                break
+    for idx in range(start, stop):
         digits = [sub.rep_from_index(idx // S**j % S) for j in range(degree)]
         f = Poly(sub, digits + [sub.one_rep])
         if _is_irreducible(f, sub):

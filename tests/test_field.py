@@ -2,7 +2,7 @@ import json
 import pathlib
 import random
 import time
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 
@@ -184,6 +184,59 @@ def test_binomial_skip_keeps_the_gf2_39_modulus(monkeypatch):
     assert modulus == Poly(sub, [one, one, sub.zero_rep, one])
     assert len(tested) == 2
     assert build_field(2, [13, 3]).modulus == modulus
+
+
+def _ordered_factorizations(k):
+    """Every degree list of a tower over F_2 with 2^k elements."""
+    if k == 1:
+        yield []
+    for d in range(2, k + 1):
+        if k % d == 0:
+            for rest in _ordered_factorizations(k // d):
+                yield [d] + rest
+
+
+@pytest.mark.parametrize(
+    "degrees", [f for k in range(1, 13) for f in _ordered_factorizations(k)], ids=str
+)
+def test_trace_jump_matches_the_plain_quadratic_scan_in_characteristic_2(degrees):
+    """Over every tower of at most 2^12 elements on F_2, nested ones included,
+    the degree-2 modulus found by the trace jump is the first candidate that
+    passes Ben-Or's test in a scan from index 0."""
+    sub = build_field(2, degrees)
+    S = sub.cardinality
+    for idx in count():
+        f = Poly(sub, [sub.rep_from_index(idx % S), sub.rep_from_index(idx // S), sub.one_rep])
+        if _is_irreducible(f, sub):
+            break
+    assert _first_irreducible(sub, 2) == f
+
+
+def test_five_level_tower_tests_one_candidate(monkeypatch):
+    """GF(2^32) as five quadratic steps from F_2: over GF(2^16) the first
+    x^2 + x + c of trace 1 has c of index 2^15, 32,769 candidates into the
+    scan, and the trace jump tests only that one.  A budget of 2^15 refuses
+    the level as the scan did."""
+    sub = build_field(2, [2, 2, 2, 2])
+    tested = []
+
+    def counted(f, ctx):
+        tested.append(f)
+        return _is_irreducible(f, ctx)
+
+    monkeypatch.setattr(field_module, "_is_irreducible", counted)
+    modulus = _first_irreducible(sub, 2)
+    assert len(tested) == 1
+    assert [sub.rep_to_index(c) for c in modulus.coeffs] == [2**15, 1, 1]
+    field = build_field(2, [2, 2, 2, 2, 2])
+    assert field.modulus == modulus
+    assert str(field.elem(2**16)) == "t5"
+    assert str(field.modulus) == "x^2 + x + y*z*w*v"
+    monkeypatch.setattr(field_module, "MODULUS_SCAN_BUDGET", 2**15)
+    with pytest.raises(ValueError, match="first 32768 candidates"):
+        _first_irreducible(sub, 2)
+    monkeypatch.setattr(field_module, "MODULUS_SCAN_BUDGET", 2**15 + 1)
+    assert _first_irreducible(sub, 2) == modulus
 
 
 def test_modulus_scan_refuses_past_its_budget(monkeypatch):

@@ -1,11 +1,14 @@
-"""The packed transform against results computed without a transform.
+"""The packed and log-domain transforms against results computed without a transform.
 
 A vector splitting field over a prime sublevel takes the packed sum in
-RootBasis._transform.  Its spectra are checked here against Horner
-evaluation (Poly.__call__, which multiplies in the splitting field one
-term at a time) of the vector's polynomial at each point, and its inverse
-against the vector it came from.  The cases reach a wide and a narrow
-prime, a long length, lazily memoized delta powers and the widest slots.
+RootBasis._transform, and a tabulated one the log-domain sum.  Their
+spectra are checked here against Horner evaluation (Poly.__call__, which
+multiplies in the splitting field one term at a time) of the vector's
+polynomial at each point, and their inverse against the vector it came
+from.  The packed cases reach a wide and a narrow prime, a long length,
+lazily memoized delta powers and the widest slots; the log-domain cases
+reach characteristic 2, odd characteristic, n^-1 != 1 and a tabulated base
+field.
 """
 
 import math
@@ -19,8 +22,8 @@ from constakit import CodeParams, Poly, build_basis, build_field
 from constakit.cdft import EAGER_POWER_LIMIT
 
 
-def _basis(p, n, lam):
-    field = build_field(p, [])
+def _basis(p, n, lam, degrees=()):
+    field = build_field(p, degrees)
     return build_basis(CodeParams(field, n, field.elem(lam)))
 
 
@@ -49,22 +52,28 @@ def _check_against_horner(basis, a, js):
 
 
 @pytest.mark.parametrize(
-    "p,n,lams,vectors",
-    [(5, 16, [1, 2, 3, 4], 3), (3, 16, [2], 5), (2, 47, [1], 3)],
-    ids=["F5-n16", "F3-n16", "F2-n47"],
+    "p,degrees,n,lams,vectors",
+    [(5, [], 16, [1, 2, 3, 4], 3), (3, [], 16, [2], 5), (2, [], 47, [1], 3),
+     (2, [], 15, [1], 3), (3, [], 7, [1, 2], 3), (5, [], 13, [1, 2, 3, 4], 3),
+     (2, [2], 7, [1, 2, 3], 3)],
+    ids=["F5-n16", "F3-n16", "F2-n47", "F2-n15", "F3-n7", "F5-n13", "GF4-n7"],
 )
-def test_packed_spectra_match_horner_and_invert(p, n, lams, vectors):
+def test_packed_spectra_match_horner_and_invert(p, degrees, n, lams, vectors):
+    """Over F_5 at n = 16, lam = 1 splits in GF(5^4), and the last four
+    cases split in GF(2^4), GF(3^6), GF(5^4) and GF(4^3) for every lam: the
+    log-domain sum in characteristic 2, in odd characteristic, with
+    n^-1 = 2 in inverse, and over a tabulated base field."""
     rng = random.Random(f"{p}-{n}")
     for lam in lams:
-        basis = _basis(p, n, lam)
-        # Over F_5, lam = 1 splits in GF(5^4), a tabulated level: the term
-        # loop, checked the same way.
-        assert _is_packed(basis) != ((p, lam) == (5, 1))
-        field = basis.params.field
+        basis = _basis(p, n, lam, degrees)
+        spl, field = basis.splitting, basis.params.field
+        assert _is_packed(basis) or spl.kind == "tabulated"
         for _ in range(vectors):
-            a = [field.elem(rng.randrange(p)) for _ in range(n)]
+            a = [field.elem(rng.randrange(field.cardinality)) for _ in range(n)]
             spectrum = _check_against_horner(basis, a, range(n))
             assert list(basis.inverse(spectrum)) == _lifted(basis, a)
+        values = [spl.elem(rng.randrange(spl.cardinality)) for _ in range(n)]
+        assert list(basis.forward_extended(basis.inverse(values)).values) == values
 
 
 def test_packed_widest_slots_with_lazy_delta_powers():
@@ -90,38 +99,50 @@ def test_packed_forward_at_length_1001_matches_horner():
     _check_against_horner(basis, a, rng.sample(range(1001), 5))
 
 
-def test_packed_inverse_makes_no_splitting_field_mul(monkeypatch):
-    """A GF(5^16) inverse never falls back to the term loop."""
-    basis = _packed_basis(5, 16, 2)
-    spl, field = basis.splitting, basis.params.field
-    spectrum = basis.forward([field.elem(i % 5) for i in range(16)])
+def _inverse_makes_no_splitting_field_op(monkeypatch, basis):
+    spl, field, n = basis.splitting, basis.params.field, basis.n
+    spectrum = basis.forward([field.elem(i % field.p) for i in range(n)])
     calls = []
     for name in ("mul", "scale", "add"):
         op = getattr(spl, name)
         monkeypatch.setattr(spl, name, lambda *args, _op=op, _name=name: calls.append(_name) or _op(*args))
     back = basis.inverse(spectrum)
     assert calls == []
-    assert [x.project(field).index for x in back] == [i % 5 for i in range(16)]
+    assert [x.project(field).index for x in back] == [i % field.p for i in range(n)]
+
+
+def test_packed_inverse_makes_no_splitting_field_mul(monkeypatch):
+    """A GF(5^16) inverse never falls back to the term loop."""
+    _inverse_makes_no_splitting_field_op(monkeypatch, _packed_basis(5, 16, 2))
+
+
+def test_log_domain_inverse_makes_no_splitting_field_mul_or_add(monkeypatch):
+    """A GF(5^4) inverse, scaled by n^-1 = 2, reads only the log arrays."""
+    basis = _basis(5, 13, 2)
+    assert basis.splitting.kind == "tabulated"
+    _inverse_makes_no_splitting_field_op(monkeypatch, basis)
 
 
 @st.composite
-def packed_points(draw):
-    """(p, n, lam) whose splitting field is a vector level over F_p."""
+def summed_points(draw):
+    """(p, n, lam) whose splitting field is tabulated or a vector level over F_p."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     n = draw(st.integers(1, 40).filter(lambda n: math.gcd(n, p) == 1))
     lam = draw(st.integers(1, p - 1))
     field = build_field(p, [])
     params = CodeParams(field, n, field.elem(lam))
-    # Past 4096 elements the splitting field is a vector level; at most 2^40
-    # keeps each field's build and delta search short.
-    assume(4096 < p**params.splitting_degree <= 2**40)
+    # Up to 4096 elements the splitting field is tabulated, past it a vector
+    # level; at most 2^40 keeps each field's build and delta search short.
+    assume(params.splitting_degree > 1 and p**params.splitting_degree <= 2**40)
     return p, n, lam
 
 
-@settings(max_examples=60, deadline=None)
-@given(point=packed_points(), seed=st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+@given(point=summed_points(), seed=st.integers(0, 2**32))
 def test_packed_transforms_are_mutually_inverse(point, seed):
-    basis = _packed_basis(*point)
+    """Drawn points take the packed sum or, up to 4096 elements, the log-domain sum."""
+    basis = _basis(*point)
+    assert basis.splitting.kind == "tabulated" or _is_packed(basis)
     spl, field, n = basis.splitting, basis.params.field, basis.n
     rng = random.Random(seed)
     a = [field.elem(rng.randrange(field.cardinality)) for _ in range(n)]

@@ -1,8 +1,10 @@
-"""Two more of tools/sameness.py's fingerprints, pinned in the suite.
+"""Three more of tools/sameness.py's fingerprints, pinned in the suite.
 
-Both grids reach vector splitting fields: the product grid GF(2^20) and
-GF(3^8), the large-prime factor runs GF(p^3) at p = 1,000,003.  The
-script is loaded from its file, as it is not a package module.
+All three grids reach vector splitting fields: the product grid GF(2^20)
+and GF(3^8), the large-prime factor runs GF(p^3) at p = 1,000,003.  The
+transform grid reaches every path of RootBasis._transform and pins its
+values, not only the supports and generators the CLI prints.  The script
+is loaded from its file, as it is not a package module.
 """
 
 import importlib.util
@@ -24,6 +26,13 @@ def sameness():
 def test_product_grid_fingerprint(sameness):
     assert sameness._fingerprint(sameness.product_argvs()) == (
         "295 runs: md5 4453c3e8f8a48ab8d06495dc4d764c67, exit 0: 295"
+    )
+
+
+def test_transform_fingerprint(sameness):
+    assert sameness.transform_fingerprint() == (
+        "194 points: md5 1d7817a368e2b7e0d74f6a494c97b81e, "
+        "prime: 11, tabulated: 134, vector/prime: 18, vector/tabulated: 31"
     )
 
 

@@ -1,4 +1,5 @@
-"""Fingerprint constakit's CLI output, to show a change leaves it byte-identical.
+"""Fingerprint constakit's CLI output and transform values, to show a change
+leaves them byte-identical.
 
 Runs ``constakit.cli.main`` in-process from the ``src/`` tree next to this
 script and prints:
@@ -25,14 +26,20 @@ script and prints:
   delta powers are memoized one at a time (delta's order is past the eager
   table), and n = 3 splits in a vector level GF(p^3).  Before lambda's
   exponent was found by a walk in F_p, these six runs took tens of seconds
-  longer than they do now.
+  longer than they do now;
+* one md5 over ``forward`` and then ``inverse`` of three seeded vectors at
+  every point of acceptance criterion 1 (q in {2, 3, 4, 5, 9}, n <= 16 prime
+  to q, every lambda), called through the library, with the count of
+  points by splitting-field kind.  It reaches every transform path: prime,
+  tabulated, vector over F_p and vector over GF(4) or GF(9).
 
 Run it in two checkouts and compare the output:
 
     python3 tools/sameness.py
 
 Standard library only; the full grid takes about 12 s on a 2-core VM, 2 s
-of it the product grid and well under 1 s the large-prime runs.
+of it the product grid and well under 1 s each the large-prime runs and,
+once the tower levels are built, the transforms.
 """
 
 from __future__ import annotations
@@ -43,11 +50,13 @@ import io
 import json
 import math
 import pathlib
+import random
 import sys
 from collections import Counter
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from constakit import CodeParams, build_basis, build_field  # noqa: E402
 from constakit.cli import main  # noqa: E402
 
 #: (--grid-q, --grid-n, further flags) of each verify run.
@@ -74,6 +83,11 @@ PRODUCT_POINTS = (
     (3, None, 4, "2"), (3, None, 8, "2"), (2, "[2]", 5, "1"), (2, "[2]", 5, "[0,1]"),
     (3, "[2]", 5, "[0,1]"), (2, None, 25, "1"), (3, None, 16, "2"),
 )
+
+#: (p, degrees) of each base field of the transform grid, and its lengths.
+TRANSFORM_FIELDS = ((2, []), (3, []), (2, [2]), (5, []), (3, [2]))
+TRANSFORM_LENGTHS = range(1, 17)
+TRANSFORM_VECTORS = 3
 
 
 def run(argv: list[str]) -> tuple[int, bytes]:
@@ -140,6 +154,26 @@ def _fingerprint(argvs) -> str:
     return f"{sum(exits.values())} runs: md5 {digest.hexdigest()}, {counts}"
 
 
+def transform_fingerprint() -> str:
+    """md5 over the indices of each seeded vector's spectrum and inverse, per point."""
+    digest, kinds, rng = hashlib.md5(), Counter(), random.Random(0)
+    for p, degrees in TRANSFORM_FIELDS:
+        field = build_field(p, degrees)
+        q = field.cardinality
+        for n in (n for n in TRANSFORM_LENGTHS if math.gcd(n, q) == 1):
+            for lam in list(field.elements())[1:]:
+                basis = build_basis(CodeParams(field, n, lam))
+                spl = basis.splitting
+                kinds[f"vector/{spl.subfield.kind}" if spl.kind == "vector" else spl.kind] += 1
+                for _ in range(TRANSFORM_VECTORS):
+                    spectrum = basis.forward([field.elem(rng.randrange(q)) for _ in range(n)])
+                    back = basis.inverse(spectrum)
+                    indices = [x.index for x in (*spectrum.values, *back)]
+                    digest.update(f"{q} {n} {lam.index} {indices}\n".encode())
+    counts = ", ".join(f"{kind}: {k}" for kind, k in sorted(kinds.items()))
+    return f"{sum(kinds.values())} points: md5 {digest.hexdigest()}, {counts}"
+
+
 def report() -> None:
     for q, n, flags in VERIFY_RUNS:
         rc, out = run(["verify", "--grid-q", q, "--grid-n", str(n), *flags])
@@ -148,6 +182,7 @@ def report() -> None:
     print(f"factor {_fingerprint(factor_argvs())}")
     print(f"product {_fingerprint(product_argvs())}")
     print(f"factor p={LARGE_PRIME} {_fingerprint(large_prime_argvs())}")
+    print(f"transform {transform_fingerprint()}")
 
 
 if __name__ == "__main__":
