@@ -184,14 +184,19 @@ class RootBasis:
         The caller decides whether to project the result down to the base
         field.
         """
-        if isinstance(values, Spectrum):
-            values = values.values
-        spl = self.splitting
-        n = self.n
-        if len(values) != n:
-            raise ValueError(f"spectrum must have exactly n = {n} values")
+        values, spl, n = self._values(values), self.splitting, self.n
         reps = self._reps(values, spl, "spectrum values must lie in the splitting field")
         return self._transform(range(0, -n, -1), self._point_exp, reps, spl, pow(n, -1, spl.p))
+
+    def _values(self, values):
+        """n spectrum values, refusing a Spectrum taken on another basis."""
+        if isinstance(values, Spectrum):
+            if values.basis is not self:
+                raise ValueError("spectrum was taken on a different basis")
+            values = values.values
+        if len(values) != self.n:
+            raise ValueError(f"spectrum must have exactly n = {self.n} values")
+        return values
 
     def _reps(self, elems, ctx: FieldCtx, message: str) -> list:
         n = self.n
@@ -268,11 +273,8 @@ class RootBasis:
 
     def is_rational(self, values) -> bool:
         """Whether a spectrum comes from a vector over the base field."""
-        if isinstance(values, Spectrum):
-            values = values.values
+        values = self._values(values)
         n, q, t = self.n, self.params.q, self.frobenius_shift
-        if len(values) != n:
-            raise ValueError(f"spectrum must have exactly n = {n} values")
         spl = self.splitting
         for j, v in enumerate(values):
             if spl.pow_rep(v.rep, q) != values[(q * j + t) % n].rep:
@@ -431,22 +433,18 @@ class BasisFamily:
     def packed(self):
         """(bits, pack, power, red) for a vector splitting field over F_p.
 
-        pack(rep) = sum_i rep[i] * 2^(bits*i); power(k) is delta^k packed,
-        tabled or memoized like power_rep; red is the level's _red packed.
+        pack(rep) = sum_i rep[i] * 2^(bits*i); power(k) is power_rep(k)
+        packed on first use and memoized; red is the level's _red packed.
         bits is one past the bit length of n*m*(p-1)^2 (see the module
         docstring), so no slot of a packed sum carries into the next.
         """
-        spl, e, dp = self.splitting, self.delta_order, self.power_rep
+        spl, dp = self.splitting, self.power_rep
         bits = (self.n * spl.step_degree * (spl.p - 1) ** 2).bit_length() + 1
 
         def pack(rep):
             return sum(c << bits * i for i, c in enumerate(rep))
 
-        if e <= EAGER_POWER_LIMIT:
-            power = [pack(dp(k)) for k in range(e)].__getitem__
-        else:
-            power = cache(lambda k: pack(dp(k)))
-        return bits, pack, power, [pack(row) for row in spl._red]
+        return bits, pack, cache(lambda k: pack(dp(k))), [pack(row) for row in spl._red]
 
     def delta_pow(self, k: int) -> FieldElem:
         return FieldElem(self.splitting, self.power_rep(k % self.delta_order))

@@ -14,7 +14,7 @@ of different codes live on a common index line and can be added.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cdft import CodeParams, RootBasis, basis_family
 from .field import FieldElem
@@ -23,20 +23,15 @@ from .poly import Poly, _divide, poly_gcd, reciprocal
 from .zn import ZnSet, fourier_bias, iterated_sumset, smallest_coset, sumset
 
 
+@dataclass(frozen=True, slots=True)
 class ConstaCode:
     """An immutable constacyclic code, identified by (params, generator)."""
 
-    __slots__ = ("params", "generator", "basis", "gen_set", "_pattern")
-
-    def __init__(self, params: CodeParams, generator: Poly, basis: RootBasis, gen_set: ZnSet):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "gen_set", gen_set)
-        object.__setattr__(self, "_pattern", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConstaCode is immutable")
+    params: CodeParams
+    generator: Poly
+    basis: RootBasis = field(compare=False)
+    gen_set: ZnSet = field(compare=False)
+    _pattern: PatternPoly | None = field(default=None, init=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -49,16 +44,6 @@ class ConstaCode:
     @property
     def is_full(self) -> bool:
         return self.dim == self.params.n
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ConstaCode)
-            and other.params == self.params
-            and other.generator == self.generator
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.params, self.generator))
 
     def __repr__(self) -> str:
         p = self.params
@@ -184,9 +169,6 @@ class PatternPoly:
             coeffs[i * self.v] = power
             power = power * self.alpha
         return Poly.from_elements(coeffs)
-
-    def __repr__(self) -> str:
-        return f"PatternPoly(n={self.n}, v={self.v}, alpha={self.alpha!r})"
 
 
 def pattern_polynomial(c: ConstaCode) -> PatternPoly:

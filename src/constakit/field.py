@@ -450,17 +450,17 @@ def _vector_ops(sub: FieldCtx, d: int, red: tuple):
     (such reps are their own indices, so range(S) spans the sublevel);
     over a larger one they call its ops.
     """
-    S = sub.cardinality
+    S, sneg = sub.cardinality, sub.neg
+
+    def neg(a):
+        return tuple(sneg(x) for x in a)
+
     if S <= SQUARE_TABLE_LIMIT:
         add_t = [[sub.add(a, b) for b in range(S)] for a in range(S)]
         mul_t = [[sub.mul(a, b) for b in range(S)] for a in range(S)]
-        neg_s = sub.neg
 
         def add(a, b):
             return tuple(add_t[x][y] for x, y in zip(a, b))
-
-        def neg(a):
-            return tuple(neg_s(x) for x in a)
 
         def mul(a, b):
             conv = [0] * (2 * d - 1)
@@ -493,13 +493,10 @@ def _vector_ops(sub: FieldCtx, d: int, red: tuple):
 
         return add, neg, mul, scale
 
-    sadd, smul, sneg, szero = sub.add, sub.mul, sub.neg, sub.zero_rep
+    sadd, smul, szero = sub.add, sub.mul, sub.zero_rep
 
     def add(a, b):
         return tuple(sadd(x, y) for x, y in zip(a, b))
-
-    def neg(a):
-        return tuple(sneg(x) for x in a)
 
     def mul(a, b):
         conv = [szero] * (2 * d - 1)

@@ -102,11 +102,11 @@ def fourier_bias(a: ZnSet) -> float:
     """max over r != 0 of |(1/n) * sum_{x in a} exp(-2*pi*i*x*r/n)|.
 
     The normalization is 1/n (an expectation over Z_n, not over a), so a
-    singleton has bias 1/n and the full set has bias 0.  Returns 0.0 when
-    n = 1, where no nonzero frequency exists.
+    singleton has bias 1/n.  The empty and full sets (every set when n = 1)
+    are the only ones of bias 0, returned exactly rather than summed.
     """
     n = a.n
-    if n == 1:
+    if len(a) in (0, n):
         return 0.0
     best = 0.0
     for r in range(1, n):

@@ -161,6 +161,21 @@ def test_rationality_detects_base_vectors(f9):
     assert zero_spec.is_rational()
 
 
+def test_spectrum_of_another_basis_is_refused(f3):
+    fam = basis_family(f3, 4)
+    a = [f3.one(), f3.zero(), f3.zero(), f3.one()]
+    s = fam.basis_for_exponent(1).forward(a)
+    other = fam.basis_for_exponent(3)
+    for method in (other.inverse, other.is_rational):
+        with pytest.raises(ValueError, match="different basis"):
+            method(s)
+    # raw values carry no basis and are read on the basis they are given to:
+    # on basis 3 these are the spectrum of no vector over F_3
+    assert str(other.inverse(s.values)[3]) == "2*y"
+    assert s.basis.is_rational(s.values) and not other.is_rational(s.values)
+    assert s.inverse() == s.basis.inverse(s) == tuple(x.lift(fam.splitting) for x in a)
+
+
 def test_linear_factor_product_and_poly_to_base(f3):
     basis = build_basis(CodeParams(f3, 4, f3.elem(2)))
     f = basis.poly_to_base(basis.linear_factor_product([0, 1]))

@@ -8,14 +8,16 @@ polynomial at each point, and their inverse against the vector it came
 from.  The packed cases reach a wide and a narrow prime, a long length,
 lazily memoized delta powers and the widest slots; the log-domain cases
 reach characteristic 2, odd characteristic, n^-1 != 1 and a tabulated base
-field.
+field.  A property test draws points on all three paths, the term loop over
+a tabulated sublevel included, and checks that forward and inverse undo
+each other.
 """
 
 import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from constakit import CodeParams, Poly, build_basis, build_field
@@ -123,27 +125,38 @@ def test_log_domain_inverse_makes_no_splitting_field_mul_or_add(monkeypatch):
     _inverse_makes_no_splitting_field_op(monkeypatch, basis)
 
 
+# (p, degrees, largest n): F_p, then bases whose splitting fields past 4096
+# elements are vector levels over a tabulated sublevel, GF(4) and GF(9) on its
+# table kernel and GF(3^5) on its generic kernel.  n is bounded per base so
+# that each drawn point builds and transforms in well under a second.
+_BASES = ((2, (), 40), (3, (), 40), (5, (), 40), (7, (), 40),
+          (2, (2,), 40), (3, (2,), 20), (3, (5,), 10))
+
+
 @st.composite
 def summed_points(draw):
-    """(p, n, lam) whose splitting field is tabulated or a vector level over F_p."""
-    p = draw(st.sampled_from((2, 3, 5, 7)))
-    n = draw(st.integers(1, 40).filter(lambda n: math.gcd(n, p) == 1))
-    lam = draw(st.integers(1, p - 1))
-    field = build_field(p, [])
+    """(p, n, lam, degrees) whose splitting field is a proper extension."""
+    p, degrees, largest = draw(st.sampled_from(_BASES))
+    n = draw(st.integers(1, largest).filter(lambda n: math.gcd(n, p) == 1))
+    field = build_field(p, degrees)
+    lam = draw(st.integers(1, field.cardinality - 1))
     params = CodeParams(field, n, field.elem(lam))
     # Up to 4096 elements the splitting field is tabulated, past it a vector
     # level; at most 2^40 keeps each field's build and delta search short.
-    assume(params.splitting_degree > 1 and p**params.splitting_degree <= 2**40)
-    return p, n, lam
+    assume(params.splitting_degree > 1 and field.cardinality**params.splitting_degree <= 2**40)
+    return p, n, lam, degrees
 
 
 @settings(max_examples=80, deadline=None)
 @given(point=summed_points(), seed=st.integers(0, 2**32))
+@example(point=(2, 9, 2, (2,)), seed=0)  # GF(2^18) over GF(4)
+@example(point=(3, 8, 4, (2,)), seed=0)  # GF(3^16) over GF(9)
+@example(point=(3, 4, 1, (5,)), seed=0)  # GF(3^10) over GF(3^5)
 def test_packed_transforms_are_mutually_inverse(point, seed):
-    """Drawn points take the packed sum or, up to 4096 elements, the log-domain sum."""
+    """Drawn points take the packed sum, the log-domain sum or the term loop."""
     basis = _basis(*point)
-    assert basis.splitting.kind == "tabulated" or _is_packed(basis)
     spl, field, n = basis.splitting, basis.params.field, basis.n
+    assert spl.kind == "tabulated" or spl.subfield.kind in ("prime", "tabulated")
     rng = random.Random(seed)
     a = [field.elem(rng.randrange(field.cardinality)) for _ in range(n)]
     assert list(basis.inverse(basis.forward(a))) == _lifted(basis, a)

@@ -103,7 +103,9 @@ def test_smallest_coset_rejects_empty():
 
 
 def test_fourier_bias_extremes():
-    assert fourier_bias(ZnSet(7, range(7))) == pytest.approx(0.0, abs=1e-12)
+    assert fourier_bias(ZnSet(7, range(7))) == 0.0
+    assert fourier_bias(ZnSet(12, range(12))) == 0.0
+    assert fourier_bias(ZnSet(12)) == 0.0
     assert fourier_bias(ZnSet(2, [0])) == pytest.approx(0.5, abs=1e-12)
     assert fourier_bias(ZnSet(1, [0])) == 0.0
 
