@@ -23,7 +23,7 @@ from .poly import Poly, _divide, poly_gcd, reciprocal
 from .zn import ZnSet, fourier_bias, iterated_sumset, smallest_coset, sumset
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ConstaCode:
     """An immutable constacyclic code, identified by (params, generator)."""
 
@@ -364,9 +364,9 @@ def bounds_report(c: ConstaCode) -> dict:
     case, stabilizes) at every integer exponent >= (n-1)/(k-1) for prime
     n, else 2v/k, so the holds predicate compares r against the first
     such integer.  The bound itself is reported unrounded.
-    bias_bound: reported exactly as stated, max(3, (2*log b - log(n/k)) /
-    (log b - log(n/k))) with b the Fourier bias of G; guarded rather
-    than asserted, since the denominator is negative whenever b*k < n.
+    bias_bound: max(3, (2*log b - log(n/k)) / (log b - log(n/k))) with b
+    the Fourier bias of G, kept as stated but never applicable: b <= k/n by
+    the triangle inequality and k/n <= 1 <= n/k, so the denominator is <= 0.
     """
     if c.is_zero:
         raise ValueError("bounds are stated for nonzero codes")

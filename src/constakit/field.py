@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import numbertheory as nt
@@ -77,17 +78,13 @@ def _var_name(level: int) -> str:
     return f"t{level}"
 
 
+@dataclass(frozen=True, repr=False)
 class FieldElem:
-    """An element of a FieldCtx; a thin immutable wrapper over the rep."""
+    """An element of a FieldCtx: an immutable rep, equal by (context identity, rep)."""
 
     __slots__ = ("ctx", "rep")
-
-    def __init__(self, ctx: "FieldCtx", rep):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "rep", rep)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElem is immutable")
+    ctx: FieldCtx
+    rep: object
 
     def _coerce(self, other) -> "FieldElem":
         if isinstance(other, FieldElem):
@@ -151,16 +148,6 @@ class FieldElem:
         if i >= target.cardinality:
             raise ValueError("element does not lie in the requested subfield")
         return FieldElem(target, target.rep_from_index(i))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElem)
-            and other.ctx is self.ctx
-            and other.rep == self.rep
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.ctx), self.rep))
 
     def __repr__(self) -> str:
         return self.ctx.rep_to_str(self.rep)

@@ -14,13 +14,17 @@ without knowing how elements are encoded.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 
+@dataclass(frozen=True, repr=False)
 class Poly:
-    """Immutable dense polynomial over a field context."""
+    """Immutable dense polynomial, equal by (context identity, coefficients)."""
 
     __slots__ = ("ctx", "coeffs")
+    ctx: object
+    coeffs: tuple
 
     def __init__(self, ctx, coeffs: Iterable = ()):
         cs = list(coeffs)
@@ -37,9 +41,6 @@ class Poly:
         object.__setattr__(p, "ctx", ctx)
         object.__setattr__(p, "coeffs", coeffs)
         return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     # -- constructors ---------------------------------------------------
 
@@ -122,16 +123,6 @@ class Poly:
         pad = (self.ctx.zero_rep,) * (k - 1)
         line = pad + self.coeffs + pad
         return (line[k - 1 - j : n + k - 1 - j] for j in range(k))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poly)
-            and self.ctx is other.ctx
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.ctx), self.coeffs))
 
     def __str__(self) -> str:
         """Readable form with field-valued coefficients, e.g. x^2 + (y + 2)*x + 1."""

@@ -1,0 +1,57 @@
+"""tools/bench.py folds perfbench output; checked on canned runs, no subprocess."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bench.py"
+_SPEC = importlib.util.spec_from_file_location("bench", _PATH)
+bench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench)
+
+
+def canned(seed, passes, wall, rss, sha="abc1234"):
+    record = {"workload": "roundtrip", "seed": seed, "trace": 0, "git_sha": sha,
+              "python": "3.11.7", "nproc": 2, "pass_s": [wall] * passes, "items": 19400}
+    metrics = {"wall_s": {"value": wall, "unit": "s"},
+               "peak_rss_mb": {"value": rss, "unit": "MB"}}
+    return "\n".join([
+        "record " + json.dumps(record, sort_keys=True),
+        f"{'wall_s':28} {wall:>16.6g} s",
+        f"{'peak_rss_mb':28} {rss:>16.6g} MB",
+        f"{'fail_ratio':28} {0:>16.6g} (0 of 19400 exact checks)",
+        json.dumps({"correct": True, "attempted": 19400, "failed": 0, "metrics": metrics}),
+        "",
+    ])
+
+
+def test_fold_reads_the_record_and_result_lines():
+    run = bench.fold(canned(3, 5, 4.9, 25.5), 0)
+    assert run["seed"] == 3 and run["passes"] == 5 and run["exit"] == 0
+    assert run["correct"] is True and (run["attempted"], run["failed"]) == (19400, 0)
+    assert run["metrics"] == {"wall_s": 4.9, "peak_rss_mb": 25.5}
+    assert run["record"]["git_sha"] == "abc1234"
+
+
+def test_fold_refuses_a_run_without_a_result_line():
+    with pytest.raises(ValueError, match="exited 2"):
+        bench.fold("no constakit sources under src\n", 2)
+
+
+def test_summary_keeps_every_run_with_median_and_iqr():
+    walls = [5.0, 4.0, 6.0, 5.5, 4.5]
+    runs = [bench.fold(canned(i + 1, 4 + i % 2, w, 25.0 + i), 0) for i, w in enumerate(walls)]
+    side = bench.summarize(runs, "digest")
+    assert (side["git_sha"], side["python"], side["nproc"]) == ("abc1234", "3.11.7", 2)
+    assert side["src_digest"] == "digest" and side["passes"] == [4, 5, 4, 5, 4]
+    assert side["runs"] == runs
+    # statistics.quantiles' default (exclusive) quartiles of 4.0 ... 6.0
+    assert side["summary"]["wall_s"] == {"median": 5.0, "iqr": pytest.approx(5.75 - 4.25)}
+    assert side["summary"]["peak_rss_mb"]["median"] == 27.0
+
+
+def test_summary_lists_mixed_shas():
+    runs = [bench.fold(canned(i, 5, 5.0, 25.0, sha), 0) for i, sha in enumerate("ab" * 3)]
+    assert bench.summarize(runs, "d")["git_sha"] == ["a", "b"]

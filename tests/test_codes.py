@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -601,11 +602,45 @@ def test_square_fills_over_half(f2, f3):
 
 def test_bias_bound_when_applicable(f2):
     # the guard only admits codes with log(bias) > log(n/k), i.e. bias*k > n;
-    # since bias <= k/n needs k^2 > n^2 it essentially never fires, so the
-    # report must say "not applicable" rather than invent a number; the full
-    # code's bias is exactly 0, not float noise below the denominator's guard
+    # bias <= k/n by the triangle inequality, so that needs k > n and never
+    # fires (tests/test_zn.py checks the bias bounds), so the report must say
+    # "not applicable" rather than invent a number; the full code's bias is
+    # exactly 0, not float noise below the denominator's guard
     params = CodeParams(f2, 7, f2.one())
     c = code_from_generating_set(params, None, [0, 1, 2, 3, 4, 5, 6])
     rep = bounds_report(c)
     assert rep["bias_bound"]["applicable"] is False
     assert rep["bias_bound"]["reason"] == "zero bias"
+
+
+_F3, _F5 = build_field(3, []), build_field(5, [])
+_P3 = CodeParams(_F3, 4, _F3.elem(2))
+
+
+def _code(field, n, gen_set):
+    return code_from_generating_set(CodeParams(field, n, field.one()), None, gen_set)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CodeParams(_F3, 4, _F5.elem(2)), "lam must be an element of the given field"),
+        (lambda: build_basis(_P3).forward_poly(Poly.one(_F5)), "polynomial is over the wrong field"),
+        (lambda: build_basis(_P3).forward_poly(Poly.monomial(_F3, 4)),
+         "polynomial degree must be below n"),
+        (lambda: code_from_generating_set(_P3, build_basis(CodeParams(_F3, 4, _F3.one())), [0]),
+         "basis was built for different parameters"),
+        (lambda: code_from_generator(_P3, Poly.one(_F5)), "generator is over the wrong field"),
+        (lambda: code_from_generating_set(_P3, None, ZnSet(5, [0])),
+         "generating set lives in Z_5, expected Z_4"),
+        (lambda: schur_power(_code(_F3, 4, [0]), 0), "power must be >= 1"),
+        (lambda: power_pattern(PatternPoly(4, 4, _F3.one()), 0), "power must be >= 1"),
+        (lambda: pattern_of_product(_code(_F3, 4, [0]), _code(_F5, 4, [0])),
+         "codes must share field and length"),
+        (lambda: pattern_of_product(_code(_F3, 4, [0]), _code(_F3, 5, [0])),
+         "codes must share field and length"),
+    ],
+)
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()

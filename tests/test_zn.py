@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -122,3 +123,15 @@ def test_fourier_bias_against_direct_sum():
         got = fourier_bias(a)
         assert math.isclose(got, direct, rel_tol=0, abs_tol=1e-9)
         assert got <= len(a) / n + 1e-9
+
+
+def test_fourier_bias_bounds_on_every_proper_subset():
+    # Upper: the triangle inequality, |sum over a| <= k.  Lower: Parseval,
+    # the n - 1 nonzero frequencies share k(n - k) of squared mass.  Since
+    # k/n <= 1 <= n/k, bounds_report's bias bound never applies.
+    for n in range(2, 13):
+        for k in range(1, n):
+            low, high = math.sqrt(k * (n - k) / (n - 1)) / n, k / n
+            for a in combinations(range(n), k):
+                b = fourier_bias(ZnSet(n, a))
+                assert low - 1e-12 <= b <= high + 1e-12, (n, a, b)

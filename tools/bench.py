@@ -1,0 +1,128 @@
+"""Run the gated benchmark workloads on one or two checkouts and fold the
+runs into one ``BENCH_<label>.json``.
+
+    python3 tools/bench.py --label LABEL PARENT_ROOT CHANGE_ROOT
+    python3 tools/bench.py --label LABEL ROOT
+
+For each workload named in ``BENCHMARK.json`` (the one beside this script),
+``perfbench/run.py`` runs unmodified from each checkout root with that
+file's ``run_seconds``, untraced, ``--pairs`` times per side (at least 5).
+Pair i uses seed i on both sides.  With two roots the sides are ``parent``
+and ``change``, and the side that runs first alternates from pair to pair,
+so a slow spell of a shared machine does not fall on one side only; with
+one root the only side is ``change``.
+
+Each run is folded from its ``record`` line and its last line, the JSON
+result.  Per side the file keeps the git sha (from the run records; null
+for a checkout without ``.git``), a sha-256 digest of ``src/`` (which also
+names an uncommitted tree), the Python version, ``nproc``, the passes of
+each run, every run's metrics, and the median and quartile distance of
+each metric.  Progress goes to stderr.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MIN_PAIRS = 5
+
+
+def fold(stdout: str, exit_code: int) -> dict:
+    """One run's record line and final JSON line, as one entry."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    records = [line for line in lines if line.startswith("record ")]
+    if not records or not lines[-1].startswith("{"):
+        raise ValueError(f"run exited {exit_code} without a record and a result line")
+    record = json.loads(records[-1][len("record "):])
+    result = json.loads(lines[-1])
+    return {
+        "exit": exit_code,
+        "seed": record["seed"],
+        "passes": len(record["pass_s"]),
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "record": record,
+    }
+
+
+def summarize(runs: list[dict], digest: str) -> dict:
+    """One side's runs with their provenance and per-metric median and IQR."""
+    def one(key):
+        values = {run["record"][key] for run in runs}
+        return values.pop() if len(values) == 1 else sorted(values, key=str)
+
+    summary = {}
+    for name in runs[0]["metrics"]:
+        values = [run["metrics"][name] for run in runs]
+        q1, _, q3 = statistics.quantiles(values, n=4)
+        summary[name] = {"median": statistics.median(values), "iqr": q3 - q1}
+    return {
+        "git_sha": one("git_sha"),
+        "src_digest": digest,
+        "python": one("python"),
+        "nproc": one("nproc"),
+        "passes": [run["passes"] for run in runs],
+        "runs": runs,
+        "summary": summary,
+    }
+
+
+def src_digest(root: Path) -> str:
+    """sha-256 over the relative paths and bytes of every .py file in src/."""
+    h = hashlib.sha256()
+    for path in sorted((root / "src").rglob("*.py")):
+        h.update(str(path.relative_to(root)).encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def run_once(command: list, root: Path, workload: str, seed: int, seconds) -> dict:
+    argv = command + ["--workload", workload, "--seed", str(seed),
+                      "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    sys.stderr.write(done.stderr)
+    return fold(done.stdout, done.returncode)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
+    parser.add_argument("roots", nargs="+", type=Path)
+    args = parser.parse_args(argv)
+    if len(args.roots) > 2 or args.pairs < MIN_PAIRS:
+        parser.error(f"give one or two roots and at least {MIN_PAIRS} pairs")
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = ["parent", "change"][-len(args.roots):]
+    roots = dict(zip(names, (root.resolve() for root in args.roots)))
+    out = {"label": args.label, "command": spec["command"],
+           "run_seconds": spec["run_seconds"], "workloads": {}}
+    for workload in (w["name"] for w in spec["workloads"]):
+        runs = {name: [] for name in names}
+        for seed in range(1, args.pairs + 1):
+            order = names if seed % 2 else names[::-1]
+            for name in order:
+                run = run_once(spec["command"], roots[name], workload, seed, spec["run_seconds"])
+                runs[name].append(run)
+                print(f"{workload} seed {seed} {name}: {run['passes']} passes, "
+                      f"exit {run['exit']}, {run['metrics']}", file=sys.stderr)
+        out["workloads"][workload] = {
+            name: summarize(runs[name], src_digest(roots[name])) for name in names
+        }
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
