@@ -43,7 +43,7 @@ from typing import Sequence
 
 from .field import DEFAULT_MAX_CARDINALITY, FieldCtx, FieldElem, elem_order, find_element_of_order
 from .numbertheory import mult_order_mod
-from .poly import Poly
+from .poly import Poly, Shared
 from .zn import ZnSet
 
 # Powers of delta are precomputed up to this group order; beyond it they
@@ -100,7 +100,7 @@ class CodeParams:
         return f"CodeParams(q={self.q}, n={self.n}, lam={self.lam!r})"
 
 
-class RootBasis:
+class RootBasis(Shared):
     """The n evaluation points xi^j * beta of one BasisFamily, beta = delta^s.
 
     The family fixes delta of order e = n*o and xi = delta^o; a basis adds
@@ -386,7 +386,7 @@ def basis_family(field: FieldCtx, n: int, o: int | None = None) -> BasisFamily:
     return fam
 
 
-class BasisFamily:
+class BasisFamily(Shared):
     """One delta of order e = n*o and the bases beta = delta^s it carries.
 
     o divides q - 1 and defaults to q - 1.  The family builds the

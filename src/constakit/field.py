@@ -21,9 +21,13 @@ Representations.  Internally an element of a level is
   * an int residue, at the prime level;
   * an int canonical index, at levels of at most TABLE_LIMIT (4096)
     elements, with arithmetic on exp/log/Zech arrays of O(Q) entries,
-    which cdft also reads for its log-domain transform sum;
-    levels of at most SQUARE_TABLE_LIMIT (128) elements derive full
-    Q x Q add/mul tables from those arrays and use them instead;
+    which cdft also reads for its log-domain transform sum.  The arrays
+    take no vector product per element: multiplying by the generator is
+    F_p-linear on an index's base-p digits, so two tables of about sqrt(Q)
+    entries give each next power as a byte-per-digit sum, which never
+    carries (p <= 64).  Levels of at most SQUARE_TABLE_LIMIT (128)
+    elements derive full Q x Q add/mul tables from the arrays and use
+    them instead;
   * a tuple of sublevel representations otherwise; over a sublevel of at
     most SQUARE_TABLE_LIMIT elements its arithmetic reads S x S tables that
     it builds from the sublevel's ops.
@@ -48,7 +52,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import numbertheory as nt
-from .poly import Poly, format_terms, poly_gcd, poly_xgcd, pow_mod, square_and_multiply
+from .poly import Poly, Shared, format_terms, poly_gcd, poly_xgcd, pow_mod, square_and_multiply
 
 #: Levels with at most this many elements use int indices as their
 #: representation, with O(Q) exp/log/Zech arrays behind the arithmetic.
@@ -79,7 +83,7 @@ def _var_name(level: int) -> str:
 
 
 @dataclass(frozen=True, repr=False)
-class FieldElem:
+class FieldElem(Shared):
     """An element of a FieldCtx: an immutable rep, equal by (context identity, rep)."""
 
     __slots__ = ("ctx", "rep")
@@ -160,7 +164,7 @@ def _levels(ctx):
         ctx = ctx.subfield
 
 
-class FieldCtx:
+class FieldCtx(Shared):
     """One level of a field tower.  Immutable after construction."""
 
     def __init__(self, *, _token=None):
@@ -366,26 +370,47 @@ def _install_log_ops(ctx: FieldCtx, vec_mul) -> None:
     log(1 + g**k), or -1 when that sum is zero (Huber 1990), so
     a + b = a * (1 + b/a) = exp[log a + Zech[log b - log a]], where a
     negative difference indexes from the end, i.e. modulo Q - 1.
+
+    An index's base-p digits are its F_p coordinates (every level below is
+    indexed alike), and x -> x*g is F_p-linear on them.  So for
+    i = lo + p**L * hi, the digits of i*g are the digitwise sum mod p of
+    lo*g and (p**L * hi)*g, read from two half tables made with one vec_mul
+    per entry; no digit sum carries (p <= 64), and two half-digit lookups
+    turn it back into an index.  1 + x differs from x in digit 0 only.
     """
-    Q, sub, one = ctx.cardinality, ctx.subfield, ctx._vec_one
+    Q, p, one = ctx.cardinality, ctx.p, ctx._vec_one
     vec_to_index, vec_from_index = ctx._vec_to_index, ctx._vec_from_index
     n1 = Q - 1
     g = _first_of_order(map(vec_from_index, range(1, Q)), vec_mul, one, n1)
-    powers, x = [], one
+    D = math.prod(ctx.degrees)
+    L, P = D // 2, p ** (D // 2)
+
+    def digits(i, n):  # n base-p digits of i, least significant first
+        return bytes(i // p**j % p for j in range(n))
+
+    def times_g(i):  # digits of i*g packed one per byte, low byte first
+        return int.from_bytes(digits(vec_to_index(vec_mul(vec_from_index(i), g)), D), "little")
+
+    lo_g, hi_g = [times_g(i) for i in range(P)], [times_g(h * P) for h in range(Q // P)]
+    lo_ix = {digits(i, L): i for i in range(P)}
+    hi_ix = {digits(h, D - L): h * P for h in range(Q // P)}
+    # D >= 2 makes p*p <= Q <= TABLE_LIMIT, so p <= 64 and a sum of two
+    # digits is at most 2(p - 1) <= 126: no byte carries into the next.
+    mod_p = bytes(v % p for v in range(256))
+    powers, x = [], 1
     for _ in range(n1):
-        powers.append(vec_to_index(x))
-        x = vec_mul(x, g)
+        powers.append(x)
+        b = (lo_g[x % P] + hi_g[x // P]).to_bytes(D, "little").translate(mod_p)
+        x = lo_ix[b[:L]] + hi_ix[b[L:]]
     logs = [0] * Q
     for k, i in enumerate(powers):
         logs[i] = k
-    S, sadd = sub.cardinality, sub.add
-    # 1 + x differs from x only in digit 0, so it is one sublevel add.
-    one_plus = [i - i % S + sadd(1, i % S) for i in powers]
     # Entries lie in [-1, Q), Q <= TABLE_LIMIT; "h" raises OverflowError past 32767.
-    zech = array("h", [logs[j] if j else -1 for j in one_plus])
+    zech = array("h", [logs[j] if (j := i - i % p + (i + 1) % p) else -1 for i in powers])
     exp, log = array("h", powers * 2), array("h", logs)
     ctx._logs = exp, log, zech  # cdft sums transforms in the log domain
-    half = n1 // 2
+    # -1 = g**((Q-1)/2) in odd characteristic; in characteristic 2, -1 = 1 = g**0.
+    half = n1 // 2 if p > 2 else 0
 
     def mul(a, b):
         return exp[log[a] + log[b]] if a and b else 0
@@ -397,15 +422,8 @@ def _install_log_ops(ctx: FieldCtx, vec_mul) -> None:
         z = zech[log[b] - la]
         return exp[la + z] if z >= 0 else 0
 
-    if ctx.p == 2:  # -1 = 1
-
-        def neg(a):
-            return a
-
-    else:
-
-        def neg(a):
-            return exp[log[a] + half] if a else 0
+    def neg(a):
+        return exp[log[a] + half] if a else 0
 
     def inv(a):
         if not a:
@@ -413,8 +431,12 @@ def _install_log_ops(ctx: FieldCtx, vec_mul) -> None:
         return exp[n1 - log[a]]
 
     if Q <= SQUARE_TABLE_LIMIT:
-        add_t = [[add(a, b) for b in range(Q)] for a in range(Q)]
-        mul_t = [[mul(a, b) for b in range(Q)] for a in range(Q)]
+        nz = log[1:]  # logs of the indices 1 .. Q-1
+        mul_t = [[0] * Q] + [[0] + [exp[la + lb] for lb in nz] for la in nz]
+        add_t = [list(range(Q))] + [
+            [a] + [exp[la + z] if (z := zech[lb - la]) >= 0 else 0 for lb in nz]
+            for a, la in enumerate(nz, 1)
+        ]
         neg_t = [neg(a) for a in range(Q)]
         ctx.add = lambda a, b: add_t[a][b]
         ctx.sub = lambda a, b: add_t[a][neg_t[b]]

@@ -18,8 +18,20 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 
+class Shared:
+    """Immutable, or memoized once per process: every copy is the object itself."""
+
+    __slots__ = ()
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
 @dataclass(frozen=True, repr=False)
-class Poly:
+class Poly(Shared):
     """Immutable dense polynomial, equal by (context identity, coefficients)."""
 
     __slots__ = ("ctx", "coeffs")

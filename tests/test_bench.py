@@ -55,3 +55,22 @@ def test_summary_keeps_every_run_with_median_and_iqr():
 def test_summary_lists_mixed_shas():
     runs = [bench.fold(canned(i, 5, 5.0, 25.0, sha), 0) for i, sha in enumerate("ab" * 3)]
     assert bench.summarize(runs, "d")["git_sha"] == ["a", "b"]
+
+
+def test_each_run_gets_its_own_empty_bytecode_cache(monkeypatch):
+    seen = []
+
+    def fake_run(argv, cwd, capture_output, text, env):
+        cache = pathlib.Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cache, cache.is_dir() and not any(cache.iterdir())))
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1" and argv[-2:] == ["--trace", "0"]
+        seed = int(argv[argv.index("--seed") + 1])
+        return bench.subprocess.CompletedProcess(argv, 0, canned(seed, 5, 4.9, 25.5), "")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    runs = [bench.run_once(["python3", "perfbench/run.py"], _PATH.parent, "roundtrip", s, 50)
+            for s in (1, 2)]
+    assert [run["seed"] for run in runs] == [1, 2]
+    (first, empty1), (second, empty2) = seen
+    assert empty1 and empty2 and first != second
+    assert not first.exists() and not second.exists()

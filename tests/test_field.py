@@ -105,6 +105,66 @@ def test_log_table_ops_match_the_vector_ops(p, degrees):
             assert field.mul(a, b) == idx(vmul(vec(a), vec(b)))
 
 
+@pytest.mark.parametrize("p,degrees", [
+    (2, [12]), (2, [2, 6]), (5, [5]), (3, [7]), (7, [4]), (13, [3]), (37, [2]), (61, [2]),
+    (2, [2, 2, 3])])
+def test_log_arrays_match_the_vector_powers_of_g(p, degrees):
+    """exp, log and Zech are built from half tables of digit sums; every
+    entry equals the vector arithmetic of the same level.  The shapes reach
+    Q = 4096 over GF(2) and GF(4), primes above 36 and a three-level tower."""
+    field = build_field(p, degrees)
+    Q, n1 = field.cardinality, field.cardinality - 1
+    assert field.kind == "tabulated" and p * p <= Q <= TABLE_LIMIT
+    vadd, _, vmul, _ = _vector_ops(field.subfield, field.step_degree, field._red)
+    vec, idx, one = field._vec_from_index, field._vec_to_index, field._vec_one
+    exp, log, zech = field._logs
+    assert len(exp) == 2 * n1 and len(log) == Q and len(zech) == n1
+    g, x = vec(exp[1]), one
+    for k in range(n1):
+        assert exp[k] == exp[k + n1] == idx(x)
+        assert log[exp[k]] == k
+        s = idx(vadd(one, x))
+        assert zech[k] == (log[s] if s else -1)
+        x = vmul(x, g)
+    assert x == one
+    assert elem_order(field.elem(exp[1])) == n1
+    assert all(elem_order(field.elem(i)) < n1 for i in range(1, exp[1]))
+
+
+@pytest.mark.parametrize("p,degrees,sub_kind", [
+    (3, [4], "prime"), (3, [2, 2], "tabulated"), (2, [6], "prime"), (2, [2, 3], "tabulated")])
+def test_square_tables_match_the_log_array_ops(p, degrees, sub_kind):
+    """Every pair of a Q x Q tabulated level's add/sub/mul tables, and every
+    neg, agrees with the exp/log/Zech arrays, over a prime and a tabulated
+    sublevel; add and mul also agree with the level's vector ops."""
+    field = build_field(p, degrees)
+    Q, n1 = field.cardinality, field.cardinality - 1
+    assert field.kind == "tabulated" and Q <= SQUARE_TABLE_LIMIT
+    assert field.subfield.kind == sub_kind
+    vadd, _, vmul, _ = _vector_ops(field.subfield, field.step_degree, field._red)
+    vec, idx = field._vec_from_index, field._vec_to_index
+    exp, log, zech = field._logs
+    minus_one = exp[n1 // 2] if p > 2 else 1
+
+    def mul(a, b):
+        return exp[log[a] + log[b]] if a and b else 0
+
+    def add(a, b):
+        if not (a and b):
+            return a or b
+        z = zech[(log[b] - log[a]) % n1]
+        return exp[log[a] + z] if z >= 0 else 0
+
+    for a in range(Q):
+        assert field.neg(a) == mul(a, minus_one) and add(a, field.neg(a)) == 0
+        for b in range(Q):
+            assert field.add(a, b) == add(a, b)
+            assert field.sub(a, b) == add(a, mul(b, minus_one))
+            assert field.mul(a, b) == mul(a, b)
+            assert (field.add(a, b), field.mul(a, b)) == (
+                idx(vadd(vec(a), vec(b))), idx(vmul(vec(a), vec(b))))
+
+
 @pytest.mark.parametrize("p,degrees,table_kernel", [
     (3, [8], True), (2, [13], True), (3, [2, 4], True),
     (4099, [2], False), (2, [8, 2], False), (2, [13, 2], False)])

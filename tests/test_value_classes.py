@@ -1,6 +1,8 @@
 """The seven value classes share one contract: frozen, compared by value,
-hashed by value, and refusing any assignment with AttributeError."""
+hashed by value, refusing any assignment with AttributeError, and copied
+to an equal value."""
 
+import copy
 import dataclasses
 
 import pytest
@@ -11,6 +13,7 @@ from constakit import (
     PatternPoly,
     Poly,
     ZnSet,
+    basis_family,
     build_basis,
     build_field,
     code_from_generating_set,
@@ -55,3 +58,25 @@ def test_field_elements_and_polys_are_slotted_and_keyed_by_context():
     assert Poly.one(F3).coeffs == Poly.one(F5).coeffs and Poly.one(F3) != Poly.one(F5)
     assert (F3.elem(1) == 1) is False and (F3.zero() == 0) is False
     assert isinstance(F3.elem(1), FieldElem)
+
+
+@pytest.mark.parametrize("name", sorted(MAKERS))
+def test_value_classes_copy_to_an_equal_value(name):
+    a = MAKERS[name]()
+    assert copy.copy(a) == a and copy.deepcopy(a) == a
+
+
+def test_fields_families_bases_and_elements_copy_to_themselves():
+    """Contexts compare by identity and families are memoized per process,
+    so a copy that were a new object would equal nothing."""
+    family = basis_family(F3, 4)
+    for x in (F3, family, BASIS, F3.elem(2), Poly.one(F3)):
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+    assert copy.deepcopy(F3.elem(2)) + F3.elem(1) == F3.zero()
+
+
+def test_deep_copied_spectrum_inverts_on_its_basis():
+    spectrum = BASIS.forward([F3.elem(1), F3.elem(2)])
+    twin = copy.deepcopy(spectrum)
+    assert twin.basis is BASIS and twin.inverse() == spectrum.inverse()
+    assert [x.project(F3) for x in twin.inverse()] == [F3.elem(1), F3.elem(2), F3.zero(), F3.zero()]

@@ -12,6 +12,10 @@ and ``change``, and the side that runs first alternates from pair to pair,
 so a slow spell of a shared machine does not fall on one side only; with
 one root the only side is ``change``.
 
+Each run gets a fresh, empty ``PYTHONPYCACHEPREFIX`` directory, which its
+setup probes inherit, and writes no bytecode: ``setup_s`` includes compiling
+every module on both sides alike, however warm a checkout's ``__pycache__``.
+
 Each run is folded from its ``record`` line and its last line, the JSON
 result.  Per side the file keeps the git sha (from the run records; null
 for a checkout without ``.git``), a sha-256 digest of ``src/`` (which also
@@ -25,9 +29,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,7 +93,9 @@ def src_digest(root: Path) -> str:
 def run_once(command: list, root: Path, workload: str, seed: int, seconds) -> dict:
     argv = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache, PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(argv, cwd=root, capture_output=True, text=True, env=env)
     sys.stderr.write(done.stderr)
     return fold(done.stdout, done.returncode)
 
