@@ -32,9 +32,13 @@ Representations.  Internally an element of a level is
     most SQUARE_TABLE_LIMIT elements its arithmetic reads S x S tables that
     it builds from the sublevel's ops.
 Subfields embed positionally: the element of index i in a sublevel is the
-element of index i upstairs.  lift and project both go by index, so
-embedding small-field scalars is one digit and projecting to a subfield K
-is an index check: the element lies in K iff its index is below |K|.
+element of index i upstairs.  Each context keeps its levels (itself, then
+each level below) and two index maps, _index_of and _rep_of (the identity
+where reps are indices); lift and project check the target's place in the
+levels and map through them, so embedding small-field scalars is one digit
+and projecting to a subfield K is an index check: the element lies in K iff
+its index is below |K|.  FieldElem, a frozen dataclass, sets its two slots
+through their descriptors (poly.slot_setters), at a plain object's cost.
 
 Orders.  elem_order strips primes from Q - 1 (numbertheory.order_from_multiple);
 _first_of_order is the one "first candidate of order exactly e" scan, which
@@ -52,7 +56,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import numbertheory as nt
-from .poly import Poly, Shared, format_terms, poly_gcd, poly_xgcd, pow_mod, square_and_multiply
+from .poly import (Poly, Shared, format_terms, poly_gcd, poly_xgcd, pow_mod, slot_setters,
+                   square_and_multiply)
 
 #: Levels with at most this many elements use int indices as their
 #: representation, with O(Q) exp/log/Zech arrays behind the arithmetic.
@@ -82,13 +87,17 @@ def _var_name(level: int) -> str:
     return f"t{level}"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, init=False)
 class FieldElem(Shared):
     """An element of a FieldCtx: an immutable rep, equal by (context identity, rep)."""
 
     __slots__ = ("ctx", "rep")
     ctx: FieldCtx
     rep: object
+
+    def __init__(self, ctx: FieldCtx, rep):
+        _set_ctx(self, ctx)
+        _set_rep(self, rep)
 
     def _coerce(self, other) -> "FieldElem":
         if isinstance(other, FieldElem):
@@ -134,34 +143,30 @@ class FieldElem(Shared):
     @property
     def index(self) -> int:
         """Position of this element in the canonical scan."""
-        return self.ctx.rep_to_index(self.rep)
+        return self.ctx._index_of(self.rep)
 
     def lift(self, target: "FieldCtx") -> "FieldElem":
         """Embed into an extension built on top of this element's context:
         target's element of the same index."""
-        if self.ctx not in _levels(target):
+        if self.ctx not in target.levels:
             raise ValueError("target is not an extension of this context")
-        return FieldElem(target, target.rep_from_index(self.index))
+        return FieldElem(target, target._rep_of(self.ctx._index_of(self.rep)))
 
     def project(self, target: "FieldCtx") -> "FieldElem":
         """Inverse of lift: target's element of the same index, which must be
         below |target|; target is this element's context or a level below."""
-        if target not in _levels(self.ctx):
+        if target not in self.ctx.levels:
             raise ValueError("target is not below this element's context")
-        i = self.index
+        i = self.ctx._index_of(self.rep)
         if i >= target.cardinality:
             raise ValueError("element does not lie in the requested subfield")
-        return FieldElem(target, target.rep_from_index(i))
+        return FieldElem(target, target._rep_of(i))
 
     def __repr__(self) -> str:
         return self.ctx.rep_to_str(self.rep)
 
 
-def _levels(ctx):
-    """ctx and the levels below it, top down to the prime level."""
-    while ctx is not None:
-        yield ctx
-        ctx = ctx.subfield
+_set_ctx, _set_rep = slot_setters(FieldElem)
 
 
 class FieldCtx(Shared):
@@ -179,6 +184,8 @@ class FieldCtx(Shared):
         ctx.p = p
         ctx.degrees = ()
         ctx.subfield = None
+        ctx.levels = (ctx,)
+        ctx._index_of = ctx._rep_of = int  # the identity on int reps
         ctx.step_degree = 0
         ctx.cardinality = p
         ctx.modulus = None
@@ -208,6 +215,7 @@ class FieldCtx(Shared):
         ctx.p = sub.p
         ctx.degrees = sub.degrees + (degree,)
         ctx.subfield = sub
+        ctx.levels = (ctx,) + sub.levels
         ctx.step_degree = degree
         ctx.cardinality = sub.cardinality**degree
         ctx.modulus = _first_irreducible(sub, degree)
@@ -238,12 +246,12 @@ class FieldCtx(Shared):
                 raise RuntimeError("modulus is not irreducible; tower corrupt")
             return u.padded(d)
 
-        S = sub.cardinality
+        S, sub_index, sub_rep = sub.cardinality, sub._index_of, sub._rep_of
 
         def vec_to_index(rep):
             idx = 0
             for c in reversed(rep):
-                idx = idx * S + sub.rep_to_index(c)
+                idx = idx * S + sub_index(c)
             return idx
 
         def vec_from_index(i):
@@ -251,17 +259,19 @@ class FieldCtx(Shared):
             digits = []
             while i:
                 i, r = divmod(i, S)
-                digits.append(sub.rep_from_index(r))
+                digits.append(sub_rep(r))
             return tuple(digits) + ctx._vec_zero[len(digits):]
 
         ctx._vec_to_index = vec_to_index
         ctx._vec_from_index = vec_from_index
         if ctx.cardinality <= TABLE_LIMIT:
             ctx.kind = "tabulated"
+            ctx._index_of = ctx._rep_of = int
             ctx.zero_rep, ctx.one_rep = 0, 1
             _install_log_ops(ctx, vec_mul)
         else:
             ctx.kind = "vector"
+            ctx._index_of, ctx._rep_of = vec_to_index, vec_from_index
             ctx.zero_rep, ctx.one_rep = ctx._vec_zero, ctx._vec_one
             ctx.add = vec_add
             ctx.sub = vec_sub
@@ -276,14 +286,10 @@ class FieldCtx(Shared):
     def rep_from_index(self, i: int):
         if type(i) is not int or not 0 <= i < self.cardinality:
             raise ValueError(f"index {i!r} out of range for {self!r}")
-        if self.kind == "vector":
-            return self._vec_from_index(i)
-        return i
+        return self._rep_of(i)
 
     def rep_to_index(self, rep) -> int:
-        if self.kind == "vector":
-            return self._vec_to_index(rep)
-        return rep
+        return self._index_of(rep)
 
     def rep_to_nested(self, rep):
         if self.kind == "prime":
@@ -351,7 +357,7 @@ class FieldCtx(Shared):
     def describe(self) -> dict:
         moduli = [
             [level.subfield.rep_to_nested(cf) for cf in level.modulus.coeffs]
-            for level in reversed(list(_levels(self))[:-1])
+            for level in reversed(self.levels[:-1])
         ]
         return {"p": self.p, "degrees": list(self.degrees), "moduli": moduli}
 

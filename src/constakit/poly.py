@@ -30,6 +30,12 @@ class Shared:
         return self
 
 
+def slot_setters(cls) -> tuple:
+    """Each slot descriptor's __set__, in __slots__ order: a frozen dataclass's
+    own __init__ sets its fields through them at a plain object's cost."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
 @dataclass(frozen=True, repr=False)
 class Poly(Shared):
     """Immutable dense polynomial, equal by (context identity, coefficients)."""
@@ -43,15 +49,15 @@ class Poly(Shared):
         zero = ctx.zero_rep
         while cs and cs[-1] == zero:
             cs.pop()
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _set_ctx(self, ctx)
+        _set_coeffs(self, tuple(cs))
 
     @classmethod
     def _of(cls, ctx, coeffs: tuple) -> "Poly":
         """The Poly of a coefficient tuple with no trailing zero, taken as is."""
         p = object.__new__(cls)
-        object.__setattr__(p, "ctx", ctx)
-        object.__setattr__(p, "coeffs", coeffs)
+        _set_ctx(p, ctx)
+        _set_coeffs(p, coeffs)
         return p
 
     # -- constructors ---------------------------------------------------
@@ -235,6 +241,9 @@ class Poly(Shared):
         for c in reversed(self.coeffs):
             acc = add(mul(acc, x), c)
         return FieldElem(ctx, acc)
+
+
+_set_ctx, _set_coeffs = slot_setters(Poly)
 
 
 # -- module-level operations ----------------------------------------------

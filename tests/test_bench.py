@@ -57,20 +57,46 @@ def test_summary_lists_mixed_shas():
     assert bench.summarize(runs, "d")["git_sha"] == ["a", "b"]
 
 
-def test_each_run_gets_its_own_empty_bytecode_cache(monkeypatch):
+def test_summary_compares_peak_rss_at_equal_pass_counts():
+    """The harness keeps every item time, so peak RSS grows with the passes
+    that fit; each pass count gets its own median."""
+    rss = [25.0, 26.0, 25.4, 26.2, 25.2]
+    runs = [bench.fold(canned(i + 1, 4 + i % 2, 5.0, r), 0) for i, r in enumerate(rss)]
+    assert bench.summarize(runs, "d")["peak_rss_mb_by_passes"] == {
+        "4": 25.2, "5": pytest.approx(26.1)}
+    six = bench.fold(canned(6, 6, 5.0, 27.5), 0)
+    assert list(bench.summarize(runs + [six], "d")["peak_rss_mb_by_passes"]) == ["4", "5", "6"]
+
+
+def test_each_run_starts_from_a_fresh_copy_without_bytecode(monkeypatch, tmp_path):
+    root = tmp_path / "checkout"
+    for name in ("src/constakit/__init__.py", "src/constakit/__pycache__/field.pyc",
+                 "perfbench/run.py", "perfbench/__pycache__/meter.pyc", "BENCHMARK.json",
+                 "README.md"):
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(name)
+    assert bench.git_sha(root) is None  # no .git, so no git call
     seen = []
 
     def fake_run(argv, cwd, capture_output, text, env):
-        cache = pathlib.Path(env["PYTHONPYCACHEPREFIX"])
-        seen.append((cache, cache.is_dir() and not any(cache.iterdir())))
-        assert env["PYTHONDONTWRITEBYTECODE"] == "1" and argv[-2:] == ["--trace", "0"]
+        copy = pathlib.Path(cwd)
+        seen.append(copy)
+        files = sorted(str(f.relative_to(copy)) for f in copy.rglob("*") if f.is_file())
+        assert files == ["BENCHMARK.json", "perfbench/run.py", "src/constakit/__init__.py"]
+        assert (copy / "src/constakit/__init__.py").read_text() == "src/constakit/__init__.py"
+        assert "PYTHONPYCACHEPREFIX" not in env and env["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert argv[-2:] == ["--trace", "0"]
         seed = int(argv[argv.index("--seed") + 1])
-        return bench.subprocess.CompletedProcess(argv, 0, canned(seed, 5, 4.9, 25.5), "")
+        return bench.subprocess.CompletedProcess(argv, 0, canned(seed, 5, 4.9, 25.5, None), "")
 
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "prefix"))
     monkeypatch.setattr(bench.subprocess, "run", fake_run)
-    runs = [bench.run_once(["python3", "perfbench/run.py"], _PATH.parent, "roundtrip", s, 50)
+    monkeypatch.setattr(bench, "git_sha", lambda r: f"sha of {r.name}")
+    runs = [bench.run_once(["python3", "perfbench/run.py"], root, "roundtrip", s, 50)
             for s in (1, 2)]
     assert [run["seed"] for run in runs] == [1, 2]
-    (first, empty1), (second, empty2) = seen
-    assert empty1 and empty2 and first != second
+    assert [run["record"]["git_sha"] for run in runs] == ["sha of checkout"] * 2
+    first, second = seen
+    assert first != second and root not in (first, second)
     assert not first.exists() and not second.exists()
+    assert (root / "src/constakit/__pycache__/field.pyc").exists()

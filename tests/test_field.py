@@ -431,6 +431,43 @@ def test_lift_and_project():
         f9.one().lift(f3)
 
 
+#: (p, lower degrees, upper degrees) for each pair of level kinds; GF(3^5)
+#: is tabulated, so the vector-on-vector pair is GF(67^4) over GF(67^2).
+LIFT_PAIRS = {
+    "prime-tabulated": (3, [], [2]),
+    "prime-vector": (2, [], [13]),
+    "tabulated-vector": (3, [5], [5, 2]),
+    "vector-vector": (67, [2], [2, 2]),
+}
+
+
+@pytest.mark.parametrize("p,low,high", LIFT_PAIRS.values(), ids=list(LIFT_PAIRS))
+def test_lift_then_project_returns_the_element(p, low, high):
+    sub, top = build_field(p, low), build_field(p, high)
+    assert f"{sub.kind}-{top.kind}" in LIFT_PAIRS and sub in top.levels
+    rng = random.Random(p)
+    for i in [0, 1, sub.cardinality - 1] + [rng.randrange(sub.cardinality) for _ in range(20)]:
+        x = sub.elem(i)
+        up = x.lift(top)
+        assert up.ctx is top and up.index == i and up.project(sub) == x
+        assert x.lift(x.ctx) == x == x.project(x.ctx)
+        assert up.lift(top) == up == up.project(top)
+
+
+def test_lift_and_project_refusals_keep_their_messages():
+    f2, f3, f4, f8 = (build_field(p, d) for p, d in ((2, []), (3, []), (2, [2]), (2, [3])))
+    f9 = f3.extend(2)
+    for x, target in ((f9.one(), f3), (f2.one(), f9), (f4.one(), f8)):
+        with pytest.raises(ValueError, match=r"^target is not an extension of this context$"):
+            x.lift(target)
+    for x, target in ((f3.one(), f9), (f4.one(), f8), (f9.one(), f2)):
+        with pytest.raises(ValueError, match=r"^target is not below this element's context$"):
+            x.project(target)
+    for x, target in ((f9.elem(3), f3), (f4.elem(2).lift(f4.extend(7)), f2)):
+        with pytest.raises(ValueError, match=r"^element does not lie in the requested subfield$"):
+            x.project(target)
+
+
 def test_cross_field_operations_refuse():
     f4 = build_field(2, [2])
     f9 = build_field(3, [2])

@@ -162,3 +162,29 @@ def test_packed_transforms_are_mutually_inverse(point, seed):
     assert list(basis.inverse(basis.forward(a))) == _lifted(basis, a)
     values = [spl.elem(rng.randrange(spl.cardinality)) for _ in range(n)]
     assert list(basis.forward_extended(basis.inverse(values)).values) == values
+
+
+@settings(max_examples=60, deadline=None)
+@given(point=summed_points(), seed=st.integers(0, 2**32))
+@example(point=(2, 9, 1, ()), seed=0)  # GF(2^6), tabulated over F_2
+@example(point=(5, 16, 2, ()), seed=0)  # GF(5^16), a vector level over F_5
+@example(point=(2, 9, 2, (2,)), seed=0)  # GF(2^18) over GF(4)
+@example(point=(3, 8, 4, (2,)), seed=0)  # GF(3^16) over GF(9)
+@example(point=(3, 4, 1, (5,)), seed=0)  # GF(3^10) over GF(3^5)
+def test_spectra_of_base_vectors_satisfy_the_frobenius_relation(point, seed):
+    """A_(qj+t) = A_j^q for the spectrum of a base-field vector; a spectrum
+    with one value moved off that relation is not rational."""
+    basis = _basis(*point)
+    spl, field, n = basis.splitting, basis.params.field, basis.n
+    q, t = field.cardinality, basis.frobenius_shift
+    rng = random.Random(seed)
+    spectrum = basis.forward([field.elem(rng.randrange(q)) for _ in range(n)])
+    for j in range(n):
+        assert spectrum[(q * j + t) % n] == spectrum[j] ** q, j
+    assert spectrum.is_rational()
+    # Frobenius is a bijection, so A_j^q = A_(qj+t) pins A_j; an orbit of one
+    # point asks only A_j in F_q, which the added element of index q is not.
+    j = rng.randrange(n)
+    values = list(spectrum.values)
+    values[j] += spl.elem(q)
+    assert not basis.is_rational(values)

@@ -80,3 +80,26 @@ def test_deep_copied_spectrum_inverts_on_its_basis():
     twin = copy.deepcopy(spectrum)
     assert twin.basis is BASIS and twin.inverse() == spectrum.inverse()
     assert [x.project(F3) for x in twin.inverse()] == [F3.elem(1), F3.elem(2), F3.zero(), F3.zero()]
+
+
+@pytest.mark.parametrize("cls", [FieldElem, Poly])
+def test_hand_written_inits_set_every_field(cls):
+    """FieldElem and Poly set their fields through their slots' setters, so a
+    field must be a slot, and each slot a field, for __init__ to set it."""
+    assert tuple(f.name for f in dataclasses.fields(cls)) == cls.__slots__
+
+
+@pytest.mark.parametrize("built,canonical", [
+    (lambda: FieldElem(F3, 2), lambda: F3.elem(2)),
+    (lambda: FieldElem(build_field(2, [13]), (1,) + (0,) * 12), lambda: build_field(2, [13]).elem(1)),
+    (lambda: Poly(F3, [1, 2, 0]), lambda: Poly.from_indices(F3, [1, 2])),
+    (lambda: Poly._of(F3, (1, 2)), lambda: Poly.from_indices(F3, [1, 2])),
+], ids=["FieldElem-prime", "FieldElem-vector", "Poly", "Poly._of"])
+def test_values_built_by_init_are_frozen_slotted_values(built, canonical):
+    a, b = built(), canonical()
+    assert a == b and hash(a) == hash(b) and not hasattr(a, "__dict__")
+    for f in dataclasses.fields(a):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, f.name, getattr(a, f.name))
+    moved = dataclasses.replace(a, ctx=F5)
+    assert dataclasses.replace(a) == a and moved.ctx is F5 and moved != a

@@ -12,16 +12,20 @@ and ``change``, and the side that runs first alternates from pair to pair,
 so a slow spell of a shared machine does not fall on one side only; with
 one root the only side is ``change``.
 
-Each run gets a fresh, empty ``PYTHONPYCACHEPREFIX`` directory, which its
-setup probes inherit, and writes no bytecode: ``setup_s`` includes compiling
-every module on both sides alike, however warm a checkout's ``__pycache__``.
+Each run starts from a fresh copy of its checkout's ``src/``,
+``perfbench/`` and ``BENCHMARK.json``, without any ``__pycache__``, and
+writes no bytecode, so ``setup_s`` includes compiling constakit on both
+sides alike, however warm a checkout's ``__pycache__``.  The standard
+library keeps its installed bytecode, as in a fresh checkout.
 
 Each run is folded from its ``record`` line and its last line, the JSON
-result.  Per side the file keeps the git sha (from the run records; null
-for a checkout without ``.git``), a sha-256 digest of ``src/`` (which also
-names an uncommitted tree), the Python version, ``nproc``, the passes of
-each run, every run's metrics, and the median and quartile distance of
-each metric.  Progress goes to stderr.  Standard library only.
+result.  Per side the file keeps the git sha of the checkout (null for a
+checkout without ``.git``), a sha-256 digest of ``src/`` (which also names
+an uncommitted tree), the Python version, ``nproc``, the passes of each run,
+every run's metrics, the median and quartile distance of each metric, and
+the median ``peak_rss_mb`` of the runs at each pass count (the harness keeps
+every item time, so peak RSS grows with the passes that fit).  Progress goes
+to stderr.  Standard library only.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -38,6 +43,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MIN_PAIRS = 5
+#: What a run needs of its checkout, copied fresh for each run.
+COPIED = ("src", "perfbench", "BENCHMARK.json")
 
 
 def fold(stdout: str, exit_code: int) -> dict:
@@ -71,6 +78,10 @@ def summarize(runs: list[dict], digest: str) -> dict:
         values = [run["metrics"][name] for run in runs]
         q1, _, q3 = statistics.quantiles(values, n=4)
         summary[name] = {"median": statistics.median(values), "iqr": q3 - q1}
+    rss = {}
+    for run in runs:
+        if "peak_rss_mb" in run["metrics"]:
+            rss.setdefault(run["passes"], []).append(run["metrics"]["peak_rss_mb"])
     return {
         "git_sha": one("git_sha"),
         "src_digest": digest,
@@ -79,6 +90,7 @@ def summarize(runs: list[dict], digest: str) -> dict:
         "passes": [run["passes"] for run in runs],
         "runs": runs,
         "summary": summary,
+        "peak_rss_mb_by_passes": {str(k): statistics.median(v) for k, v in sorted(rss.items())},
     }
 
 
@@ -90,14 +102,32 @@ def src_digest(root: Path) -> str:
     return h.hexdigest()
 
 
+def git_sha(root: Path) -> str | None:
+    """HEAD's commit in root, or None for a checkout without .git."""
+    if not (root / ".git").exists():
+        return None
+    done = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    return done.stdout.strip() or None
+
+
 def run_once(command: list, root: Path, workload: str, seed: int, seconds) -> dict:
     argv = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds), "--trace", "0"]
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
-        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache, PYTHONDONTWRITEBYTECODE="1")
-        done = subprocess.run(argv, cwd=root, capture_output=True, text=True, env=env)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    with tempfile.TemporaryDirectory(prefix="bench-root-") as copy:
+        for name in COPIED:
+            if (root / name).is_dir():
+                shutil.copytree(root / name, Path(copy) / name,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(root / name, copy)
+        done = subprocess.run(argv, cwd=copy, capture_output=True, text=True, env=env)
     sys.stderr.write(done.stderr)
-    return fold(done.stdout, done.returncode)
+    run = fold(done.stdout, done.returncode)
+    run["record"]["git_sha"] = git_sha(root)
+    return run
 
 
 def main(argv=None) -> int:
