@@ -53,11 +53,12 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Sequence
 
 from . import numbertheory as nt
-from .poly import (Poly, Shared, format_terms, poly_gcd, poly_xgcd, pow_mod, slot_setters,
-                   square_and_multiply)
+from .poly import Poly, Shared, euclid, format_terms, poly_xgcd, slot_setters, square_and_multiply
 
 #: Levels with at most this many elements use int indices as their
 #: representation, with O(Q) exp/log/Zech arrays behind the arithmetic.
@@ -207,6 +208,9 @@ class FieldCtx(Shared):
         ctx.mul = mul
         ctx.inv = inv
         ctx.scale = mul  # sublevel of the prime level is itself
+        if p <= SQUARE_TABLE_LIMIT:  # add/mul tables, read by the vector levels above
+            ctx._tables = [[[op(a, b) for b in range(p)] for a in range(p)]
+                           for op in (ctx.add, mul)]
         return ctx
 
     @staticmethod
@@ -221,27 +225,17 @@ class FieldCtx(Shared):
         ctx.modulus = _first_irreducible(sub, degree)
 
         d = degree
-        # y**(d+i) mod modulus, as length-d coefficient tuples over sub.
-        red = [
-            (Poly.monomial(sub, d + i) % ctx.modulus).padded(d) for i in range(d - 1)
-        ]
-        ctx._red = tuple(red)
-
-        szero, sone = sub.zero_rep, sub.one_rep
-        ctx._vec_zero = (szero,) * d
-        ctx._vec_one = (sone,) + (szero,) * (d - 1)
-
-        vec_add, vec_neg, vec_mul, vec_scale = _vector_ops(sub, d, ctx._red)
+        ctx._red, (vec_add, vec_neg, vec_mul, vec_scale) = _modulus_ops(sub, ctx.modulus)
+        ctx._vec_zero = (sub.zero_rep,) * d
+        ctx._vec_one = (sub.one_rep,) + ctx._vec_zero[1:]
 
         def vec_sub(a, b):
             return vec_add(a, vec_neg(b))
 
-        mod_poly = ctx.modulus
-
         def vec_inv(a):
             if a == ctx._vec_zero:
                 raise ZeroDivisionError("inverse of zero")
-            g, u, _ = poly_xgcd(Poly(sub, a), mod_poly)
+            g, u, _ = poly_xgcd(Poly(sub, a), ctx.modulus)
             if g.degree != 0:
                 raise RuntimeError("modulus is not irreducible; tower corrupt")
             return u.padded(d)
@@ -273,12 +267,8 @@ class FieldCtx(Shared):
             ctx.kind = "vector"
             ctx._index_of, ctx._rep_of = vec_to_index, vec_from_index
             ctx.zero_rep, ctx.one_rep = ctx._vec_zero, ctx._vec_one
-            ctx.add = vec_add
-            ctx.sub = vec_sub
-            ctx.neg = vec_neg
-            ctx.mul = vec_mul
-            ctx.inv = vec_inv
-            ctx.scale = vec_scale
+            ctx.add, ctx.sub, ctx.neg = vec_add, vec_sub, vec_neg
+            ctx.mul, ctx.inv, ctx.scale = vec_mul, vec_inv, vec_scale
         return ctx
 
     # -- representation plumbing -------------------------------------------
@@ -380,9 +370,10 @@ def _install_log_ops(ctx: FieldCtx, vec_mul) -> None:
     An index's base-p digits are its F_p coordinates (every level below is
     indexed alike), and x -> x*g is F_p-linear on them.  So for
     i = lo + p**L * hi, the digits of i*g are the digitwise sum mod p of
-    lo*g and (p**L * hi)*g, read from two half tables made with one vec_mul
-    per entry; no digit sum carries (p <= 64), and two half-digit lookups
-    turn it back into an index.  1 + x differs from x in digit 0 only.
+    lo*g and (p**L * hi)*g, read from two half tables spanned the same way
+    by the D unit images (p**j)*g, one vec_mul each; no digit sum carries
+    (p <= 64), and two half-digit lookups turn it back into an index.
+    1 + x differs from x in digit 0 only.
     """
     Q, p, one = ctx.cardinality, ctx.p, ctx._vec_one
     vec_to_index, vec_from_index = ctx._vec_to_index, ctx._vec_from_index
@@ -397,12 +388,24 @@ def _install_log_ops(ctx: FieldCtx, vec_mul) -> None:
     def times_g(i):  # digits of i*g packed one per byte, low byte first
         return int.from_bytes(digits(vec_to_index(vec_mul(vec_from_index(i), g)), D), "little")
 
-    lo_g, hi_g = [times_g(i) for i in range(P)], [times_g(h * P) for h in range(Q // P)]
-    lo_ix = {digits(i, L): i for i in range(P)}
-    hi_ix = {digits(h, D - L): h * P for h in range(Q // P)}
     # D >= 2 makes p*p <= Q <= TABLE_LIMIT, so p <= 64 and a sum of two
     # digits is at most 2(p - 1) <= 126: no byte carries into the next.
     mod_p = bytes(v % p for v in range(256))
+
+    def plus(u, v):  # digitwise sum mod p of two packed digit strings
+        return int.from_bytes((u + v).to_bytes(D, "little").translate(mod_p), "little")
+
+    def span(units):  # entry i: the sum of digit_j(i) * units[j]
+        table = [0]
+        for u in units:
+            multiples = accumulate(repeat(u, p - 1), plus, initial=0)
+            table = [plus(m, t) for m in multiples for t in table]
+        return table
+
+    images = [times_g(p**j) for j in range(D)]
+    lo_g, hi_g = span(images[:L]), span(images[L:])
+    lo_ix = {digits(i, L): i for i in range(P)}
+    hi_ix = {digits(h, D - L): h * P for h in range(Q // P)}
     powers, x = [], 1
     for _ in range(n1):
         powers.append(x)
@@ -444,6 +447,7 @@ def _install_log_ops(ctx: FieldCtx, vec_mul) -> None:
             for a, la in enumerate(nz, 1)
         ]
         neg_t = [neg(a) for a in range(Q)]
+        ctx._tables = add_t, mul_t  # read by the vector levels above
         ctx.add = lambda a, b: add_t[a][b]
         ctx.sub = lambda a, b: add_t[a][neg_t[b]]
         ctx.neg = lambda a: neg_t[a]
@@ -461,9 +465,9 @@ def _vector_ops(sub: FieldCtx, d: int, red: tuple):
     """Add/neg/mul/scale closures for a degree-d vector level over sub.
 
     Over a sublevel of at most SQUARE_TABLE_LIMIT elements, prime or
-    tabulated, they read S x S tables built here from the sublevel's ops
-    (such reps are their own indices, so range(S) spans the sublevel);
-    over a larger one they call its ops.
+    tabulated, they read the sublevel's S x S _tables (such reps are their
+    own indices, so range(S) spans the sublevel); over a larger one they
+    call its ops.
     """
     S, sneg = sub.cardinality, sub.neg
 
@@ -471,8 +475,7 @@ def _vector_ops(sub: FieldCtx, d: int, red: tuple):
         return tuple(sneg(x) for x in a)
 
     if S <= SQUARE_TABLE_LIMIT:
-        add_t = [[sub.add(a, b) for b in range(S)] for a in range(S)]
-        mul_t = [[sub.mul(a, b) for b in range(S)] for a in range(S)]
+        add_t, mul_t = sub._tables
 
         def add(a, b):
             return tuple(add_t[x][y] for x, y in zip(a, b))
@@ -541,6 +544,18 @@ def _vector_ops(sub: FieldCtx, d: int, red: tuple):
     return add, neg, mul, scale
 
 
+def _modulus_ops(sub: FieldCtx, f: Poly):
+    """The rows y**(d+i) mod f, i < d - 1, for monic f of degree d over sub, and
+    _vector_ops mod f: -f's low coefficients, then y times each row (shift, plus top * red[0])."""
+    d, zero = f.degree, sub.zero_rep
+    red = [tuple(map(sub.neg, f.coeffs[:d]))]
+    ops = add, _, _, scale = _vector_ops(sub, d, red)
+    while len(red) < d - 1:
+        *low, top = red[-1]
+        red.append((zero, *low) if top == zero else add((zero, *low), scale(red[0], top)))
+    return tuple(red), ops
+
+
 def _is_irreducible(f: Poly, sub: FieldCtx) -> bool:
     """Exact irreducibility test for monic f over the sublevel (Ben-Or).
 
@@ -550,13 +565,29 @@ def _is_irreducible(f: Poly, sub: FieldCtx) -> bool:
     x**(S**i) - x.  Most reducible f have a small factor, so the loop
     usually stops at i = 1 or 2.  A polynomial in x**p is the p-th power
     of a polynomial and is rejected without the loop.
+
+    The powers are tuples mod f.  X = x**S takes square-and-multiply; after
+    it, u -> u**S being F_S-linear, x**(S**i) = sum_k c_k X**k for
+    x**(S**(i-1)) = sum_k c_k x**k (von zur Gathen & Shoup 1992), on the
+    powers X**k, built once f survives i = 1.
     """
-    if all(c == sub.zero_rep for i, c in enumerate(f.coeffs) if i % sub.p):
+    zero = sub.zero_rep
+    if all(c == zero for i, c in enumerate(f.coeffs) if i % sub.p):
         return False
-    frob = x = Poly.x(sub)
-    for _ in range(f.degree // 2):
-        frob = pow_mod(frob, sub.cardinality, f)
-        if poly_gcd(frob - x, f).degree != 0:
+    d = f.degree
+    _, (add, _, mul, scale) = _modulus_ops(sub, f)
+    one = (sub.one_rep,) + (zero,) * (d - 1)
+    frob = X = square_and_multiply(mul, one, (zero,) + one[:-1], sub.cardinality)
+    for i in range(d // 2):
+        if i == 1:  # X**k for k < d; mul's first factor is the sparser one
+            powers = list(accumulate(repeat(X, d - 1), lambda u, v: mul(v, u), initial=one))
+        if i:  # frob passed the gcd, so it is a unit mod f and some c_k != 0
+            frob = reduce(add, [scale(P, c) for P, c in zip(powers, frob) if c != zero])
+        h = list(frob)
+        h[1] = sub.sub(h[1], sub.one_rep)  # x**(S**i) - x
+        while h and h[-1] == zero:
+            h.pop()
+        if len(euclid(sub, list(f.coeffs), h)) != 1:
             return False
     return True
 

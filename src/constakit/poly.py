@@ -5,7 +5,7 @@ the coefficient of x**i), in the context's internal representation; the
 zero polynomial stores an empty tuple and reports degree -1.  A Poly never
 keeps trailing zero coefficients; the trusted `Poly._of` takes only tuples
 that have none.  One in-place division loop on coefficient lists serves
-``divmod``, ``%`` and `poly_gcd`, whose Euclid builds one Poly at the end.
+``divmod``, ``%`` and `euclid`, the list-level Euclid under `poly_gcd`.
 
 The context object supplies the coefficient arithmetic (``add``, ``mul``,
 ``inv``, ...), so this module works over any tower level from field.py
@@ -321,12 +321,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         raise ValueError("polynomials over different field contexts")
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    ctx = a.ctx
-    r0, r1 = list(a.coeffs), list(b.coeffs)
+    return Poly._of(a.ctx, tuple(euclid(a.ctx, list(a.coeffs), list(b.coeffs)))).monic()
+
+
+def euclid(ctx, r0: list, r1: list) -> list:
+    """Euclid's last nonzero remainder of two coefficient lists, which it consumes."""
     while r1:
         _divide(ctx, r0, r1)
         r0, r1 = r1, r0
-    return Poly._of(ctx, tuple(r0)).monic()
+    return r0
 
 
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
@@ -359,15 +362,6 @@ def square_and_multiply(mul, one, base, e: int):
         if bit == "1":
             result = mul(result, base)
     return result
-
-
-def pow_mod(a: Poly, e: int, modulus: Poly) -> Poly:
-    """a**e mod modulus by square-and-multiply; e must be >= 0."""
-    if e < 0:
-        raise ValueError("exponent must be >= 0")
-    if modulus.degree < 1:
-        raise ValueError("modulus must have degree >= 1")
-    return square_and_multiply(lambda u, v: (u * v) % modulus, Poly.one(a.ctx), a % modulus, e)
 
 
 def reciprocal(a: Poly) -> Poly:

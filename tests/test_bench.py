@@ -100,3 +100,84 @@ def test_each_run_starts_from_a_fresh_copy_without_bytecode(monkeypatch, tmp_pat
     assert first != second and root not in (first, second)
     assert not first.exists() and not second.exists()
     assert (root / "src/constakit/__pycache__/field.pyc").exists()
+
+
+SPEC = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                       {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}],
+        "per_layer": [{"name": "oracle.cache_hit_ratio", "better": "higher"}]}
+
+
+def side(walls, rss=25.0, seeds=None):
+    seeds = seeds or range(1, len(walls) + 1)
+    runs = [bench.fold(canned(s, 5, w, rss), 0) for s, w in zip(seeds, walls)]
+    return bench.summarize(runs, "d")
+
+
+def test_compare_counts_won_pairs_and_the_median_shift():
+    parent = side([5.0, 5.2, 4.8, 5.1, 4.9, 5.0, 5.3, 4.7, 5.0, 5.1])
+    change = side([4.5, 4.6, 4.4, 4.5, 4.4, 4.6, 4.7, 4.2, 4.5, 4.5])
+    wall = bench.compare(parent, change, SPEC)["wall_s"]
+    assert wall["pairs"] == 10 and wall["won"] == 10
+    assert wall["shift"] == pytest.approx((4.5 - 5.0) / 5.0)
+    assert wall["parent_iqr"] == parent["summary"]["wall_s"]["iqr"]
+    assert wall["claim"] is True and wall["within_bound"] is True
+
+
+def test_claim_needs_nine_of_ten_pairs_and_a_shift_past_the_parent_iqr():
+    parent = side([5.0, 5.2, 4.8, 5.1, 4.9, 5.0, 5.3, 4.7, 5.0, 5.1])
+    # a large median gain, but two pairs lost: 8 of 10
+    lost_two = side([4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 5.1, 5.2])
+    result = bench.compare(parent, lost_two, SPEC)["wall_s"]
+    assert (result["won"], result["claim"]) == (8, False)
+    # every pair won, by less than the parent's IQR (0.2 s here)
+    small = side([w - 0.05 for w in [5.0, 5.2, 4.8, 5.1, 4.9, 5.0, 5.3, 4.7, 5.0, 5.1]])
+    result = bench.compare(parent, small, SPEC)["wall_s"]
+    assert result["won"] == 10 and result["parent_iqr"] > 0.05 and result["claim"] is False
+
+
+def test_compare_reads_each_metrics_direction_and_bound():
+    parent, change = side([5.0] * 10, rss=25.0), side([5.0] * 10, rss=28.0)
+    rss = bench.compare(parent, change, SPEC)["peak_rss_mb"]
+    assert rss["won"] == 0 and rss["shift"] == pytest.approx(0.12)
+    assert rss["within_bound"] is False  # 12% worse against a 10% bound
+    for s, value in ((parent, 0.5), (change, 0.6)):
+        for run in s["runs"]:
+            run["metrics"]["oracle.cache_hit_ratio"] = value
+        s["summary"]["oracle.cache_hit_ratio"] = {"median": value, "iqr": 0.0}
+    ratio = bench.compare(parent, change, SPEC)["oracle.cache_hit_ratio"]
+    assert ratio["won"] == 10 and ratio["claim"] is True and "within_bound" not in ratio
+    # metrics without a direction, such as the pass count, get no comparison
+    change["summary"]["passes"] = parent["summary"]["passes"] = {"median": 5, "iqr": 0}
+    assert "passes" not in bench.compare(parent, change, SPEC)
+
+
+def test_compare_pairs_runs_by_seed():
+    parent = side([5.0, 6.0, 7.0, 8.0, 9.0])
+    # each change run is 0.5 s faster than the parent run of its seed, though
+    # pairing by position would call two of the five lost; seed 9 has no pair
+    change = side([7.5, 6.5, 5.5, 4.5, 1.0], seeds=[4, 3, 2, 1, 9])
+    wall = bench.compare(parent, change, SPEC)["wall_s"]
+    assert wall["pairs"] == 4 and wall["won"] == 4
+
+
+def test_main_adds_the_comparison_to_the_change_summary(monkeypatch, tmp_path, capsys):
+    spec = dict(SPEC, command=["python3", "perfbench/run.py"], run_seconds=50,
+                workloads=[{"name": "roundtrip"}])
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    roots = []
+    for name in ("parent", "change"):
+        (tmp_path / name / "src").mkdir(parents=True)
+        roots.append(str(tmp_path / name))
+    walls = {"parent": 5.0, "change": 4.0}
+
+    def fake_run_once(command, root, workload, seed, seconds):
+        return bench.fold(canned(seed, 5, walls[root.name] + seed / 100, 25.0), 0)
+
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "run_once", fake_run_once)
+    assert bench.main(["--label", "t", *roots]) == 0
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["roundtrip"]
+    wall = out["change"]["summary"]["wall_s"]
+    assert (wall["won"], wall["pairs"], wall["claim"]) == (5, 5, True)
+    assert "won" not in out["parent"]["summary"]["wall_s"]
+    assert "roundtrip wall_s:" in capsys.readouterr().err

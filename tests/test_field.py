@@ -203,7 +203,8 @@ def test_vector_kernels_match_polynomial_arithmetic(p, degrees, table_kernel):
 
 def test_modulus_scan_rejects_pth_powers(monkeypatch):
     """Every x^2 + c over GF(2^13) is a square, which the scan rejects
-    without computing a Frobenius power; the canonical modulus is x^2 + x + 1."""
+    without computing a Frobenius power or a gcd; the canonical modulus is
+    x^2 + x + 1."""
     field = build_field(2, [13, 2])
     sub = field.subfield
     one = sub.one_rep
@@ -212,7 +213,8 @@ def test_modulus_scan_rejects_pth_powers(monkeypatch):
     def refuse(*args):
         raise RuntimeError("power test run")
 
-    monkeypatch.setattr(field_module, "pow_mod", refuse)
+    monkeypatch.setattr(field_module, "square_and_multiply", refuse)
+    monkeypatch.setattr(field_module, "euclid", refuse)
     assert sub.cardinality == 2**13
     for c in (0, 1, 5, sub.cardinality - 1):
         assert not _is_irreducible(Poly(sub, [sub.rep_from_index(c), sub.zero_rep, one]), sub)
@@ -321,6 +323,61 @@ def test_irreducibility_agrees_with_sympy():
                 low = [idx // p**i % p for i in range(d)]
                 expected = gf_irreducible_p([1] + low[::-1], p, ZZ)
                 assert _is_irreducible(Poly(fp, low + [1]), fp) == expected, (p, low)
+
+
+def _monic(field, rng, d):
+    return Poly(field, [field.rep_from_index(rng.randrange(field.cardinality)) for _ in range(d)]
+                + [field.one_rep])
+
+
+def _samples(field, rng, d, irreducible, count=12):
+    """count random monic polynomials of degree d, then four irreducible ones
+    and four products of two irreducible factors of degree >= 2, which only
+    the later Frobenius steps can catch."""
+    def draw(k):
+        while not irreducible(f := _monic(field, rng, k)):
+            pass
+        return f
+
+    k = max(2, d // 2 - rng.randrange(2))
+    return ([_monic(field, rng, d) for _ in range(count)] + [draw(d) for _ in range(4)]
+            + [draw(k) * draw(d - k) for _ in range(4)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_irreducibility_agrees_with_sympy_at_degrees_6_to_9(p):
+    """Seeded samples of degree 6..9 over F_p, where f takes up to three
+    Frobenius steps past X = x**p, against sympy's Rabin test."""
+    ZZ = pytest.importorskip("sympy.polys.domains").ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    fp = build_field(p, [])
+
+    def reference(f):
+        return gf_irreducible_p(list(f.coeffs[::-1]), p, ZZ)
+
+    rng = random.Random(p)
+    for d in range(6, 10):
+        for f in _samples(fp, rng, d, reference):
+            assert _is_irreducible(f, fp) == reference(f), (p, f.coeffs)
+
+
+@pytest.mark.parametrize("p,degrees", [(2, [2]), (2, [3]), (3, [2])], ids=["GF4", "GF8", "GF9"])
+def test_irreducibility_agrees_with_trial_division_over_extension_sublevels(p, degrees):
+    """Seeded samples of degree 4..6 over GF(4), GF(8) and GF(9), against
+    trial division by every monic polynomial of degree <= d/2."""
+    sub = build_field(p, degrees)
+    S = sub.cardinality
+    divisors = {k: [Poly(sub, [sub.rep_from_index(i // S**j % S) for j in range(k)]
+                         + [sub.one_rep]) for i in range(S**k)] for k in (1, 2, 3)}
+
+    def reference(f):
+        return not any((f % g).is_zero for k in range(1, f.degree // 2 + 1) for g in divisors[k])
+
+    rng = random.Random(S)
+    for d in range(4, 7):
+        for f in _samples(sub, rng, d, reference, count=6):
+            assert _is_irreducible(f, sub) == reference(f), (S, f.coeffs)
 
 
 @pytest.mark.parametrize("p,degrees,kind", [

@@ -24,8 +24,15 @@ checkout without ``.git``), a sha-256 digest of ``src/`` (which also names
 an uncommitted tree), the Python version, ``nproc``, the passes of each run,
 every run's metrics, the median and quartile distance of each metric, and
 the median ``peak_rss_mb`` of the runs at each pass count (the harness keeps
-every item time, so peak RSS grows with the passes that fit).  Progress goes
-to stderr.  Standard library only.
+every item time, so peak RSS grows with the passes that fit).
+
+With two roots, each metric of the change's summary that ``BENCHMARK.json``
+gives a ``better`` direction also gets the comparison with the parent: the
+pairs the change won, the median shift as a share of the parent's median,
+the parent's IQR, whether the claim rule holds (at least 9 of 10 pairs won,
+and a median gain larger than the parent's IQR), and, for a metric with a
+``bound``, whether the change's median is within it.  Progress and the
+comparison go to stderr.  Standard library only.
 """
 
 from __future__ import annotations
@@ -94,6 +101,29 @@ def summarize(runs: list[dict], digest: str) -> dict:
     }
 
 
+def compare(parent: dict, change: dict, spec: dict) -> dict:
+    """Per metric with a ``better`` direction in spec, the change side
+    against the parent side, pairing runs by seed."""
+    directions = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
+    out = {}
+    for name, before in parent["summary"].items():
+        if name not in directions or name not in change["summary"]:
+            continue
+        sign = 1 if directions[name]["better"] == "lower" else -1
+        base = {run["seed"]: run["metrics"][name] for run in parent["runs"]}
+        pairs = [(base[run["seed"]], run["metrics"][name])
+                 for run in change["runs"] if run["seed"] in base]
+        won = sum(sign * (new - old) < 0 for old, new in pairs)
+        old, new, iqr = before["median"], change["summary"][name]["median"], before["iqr"]
+        claim = 10 * won >= 9 * len(pairs) and sign * (old - new) > iqr
+        entry = {"pairs": len(pairs), "won": won, "shift": (new - old) / old if old else None,
+                 "parent_iqr": iqr, "claim": claim}
+        if "bound" in directions[name]:
+            entry["within_bound"] = sign * (new - old) <= directions[name]["bound"] * abs(old)
+        out[name] = entry
+    return out
+
+
 def src_digest(root: Path) -> str:
     """sha-256 over the relative paths and bytes of every .py file in src/."""
     h = hashlib.sha256()
@@ -153,9 +183,12 @@ def main(argv=None) -> int:
                 runs[name].append(run)
                 print(f"{workload} seed {seed} {name}: {run['passes']} passes, "
                       f"exit {run['exit']}, {run['metrics']}", file=sys.stderr)
-        out["workloads"][workload] = {
-            name: summarize(runs[name], src_digest(roots[name])) for name in names
-        }
+        sides = {name: summarize(runs[name], src_digest(roots[name])) for name in names}
+        if len(names) == 2:
+            for metric, entry in compare(sides["parent"], sides["change"], spec).items():
+                sides["change"]["summary"][metric].update(entry)
+                print(f"{workload} {metric}: {entry}", file=sys.stderr)
+        out["workloads"][workload] = sides
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(path)
