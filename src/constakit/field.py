@@ -29,8 +29,8 @@ Representations.  Internally an element of a level is
     elements derive full Q x Q add/mul tables from the arrays and use
     them instead;
   * a tuple of sublevel representations otherwise; over a sublevel of at
-    most SQUARE_TABLE_LIMIT elements its arithmetic reads S x S tables that
-    it builds from the sublevel's ops.
+    most SQUARE_TABLE_LIMIT elements its arithmetic reads the S x S tables
+    that sublevel keeps (prime levels build theirs when they are made).
 Subfields embed positionally: the element of index i in a sublevel is the
 element of index i upstairs.  Each context keeps its levels (itself, then
 each level below) and two index maps, _index_of and _rep_of (the identity
