@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .cdft import CodeParams, RootBasis, basis_family
 from .field import FieldElem
 from .numbertheory import is_prime
-from .poly import Poly, _divide, poly_gcd, reciprocal
+from .poly import Poly, euclid, poly_gcd, reciprocal
 from .zn import ZnSet, fourier_bias, iterated_sumset, smallest_coset, sumset
 
 
@@ -252,7 +252,7 @@ def schur_product_gcd(
 
     The generator is gcd({g o (x^j g2) : 0 <= j < n - deg g2}, x^n - lam1*lam2)
     with g = g1*s mod (x^n - lam1) for any s coprime to (x^n - lam1)/g1
-    (s = 1 when omitted).  Euclid runs on bare lists and stops at gcd 1.
+    (s = 1 when omitted).  poly.euclid runs on bare lists and stops at gcd 1.
     """
     basis = product_basis(c1, c2)
     params3 = basis.params
@@ -274,9 +274,7 @@ def schur_product_gcd(
         r = list(map(ctx.mul, g_padded, row))
         while r and r[-1] == zero:
             r.pop()
-        while r:
-            _divide(ctx, acc, r)
-            acc, r = r, acc
+        acc = euclid(ctx, acc, r)
         if len(acc) == 1:
             break
     return code_from_generator(params3, Poly._of(ctx, tuple(acc)).monic(), basis)
@@ -297,8 +295,6 @@ def power_pattern(pat: PatternPoly, i: int) -> PatternPoly:
     """Pattern of the i-th componentwise power: alpha -> alpha^i, same v."""
     if i < 1:
         raise ValueError("power must be >= 1")
-    if pat.is_trivial:
-        return pat
     return PatternPoly(pat.n, pat.v, pat.alpha**i)
 
 

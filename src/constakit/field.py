@@ -58,7 +58,9 @@ from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Sequence
 
 from . import numbertheory as nt
-from .poly import Poly, Shared, euclid, format_terms, poly_xgcd, slot_setters, square_and_multiply
+from .poly import (
+    Poly, Shared, convolve, euclid, format_terms, poly_xgcd, slot_setters, square_and_multiply,
+)
 
 #: Levels with at most this many elements use int indices as their
 #: representation, with O(Q) exp/log/Zech arrays behind the arithmetic.
@@ -467,7 +469,7 @@ def _vector_ops(sub: FieldCtx, d: int, red: tuple):
     Over a sublevel of at most SQUARE_TABLE_LIMIT elements, prime or
     tabulated, they read the sublevel's S x S _tables (such reps are their
     own indices, so range(S) spans the sublevel); over a larger one they
-    call its ops.
+    call its ops, and mul is poly.convolve folded by red.
     """
     S, sneg = sub.cardinality, sub.neg
 
@@ -504,8 +506,6 @@ def _vector_ops(sub: FieldCtx, d: int, red: tuple):
             return tuple(res)
 
         def scale(a, s):
-            if not s:
-                return (0,) * d
             row = mul_t[s]
             return tuple(row[x] for x in a)
 
@@ -517,14 +517,7 @@ def _vector_ops(sub: FieldCtx, d: int, red: tuple):
         return tuple(sadd(x, y) for x, y in zip(a, b))
 
     def mul(a, b):
-        conv = [szero] * (2 * d - 1)
-        for i in range(d):
-            ai = a[i]
-            if ai != szero:
-                for j in range(d):
-                    bj = b[j]
-                    if bj != szero:
-                        conv[i + j] = sadd(conv[i + j], smul(ai, bj))
+        conv = convolve(sub, a, b)
         res = conv[:d]
         for i in range(d - 1):
             c = conv[d + i]
@@ -537,8 +530,6 @@ def _vector_ops(sub: FieldCtx, d: int, red: tuple):
         return tuple(res)
 
     def scale(a, s):
-        if s == szero:
-            return (szero,) * d
         return tuple(smul(x, s) for x in a)
 
     return add, neg, mul, scale

@@ -1,7 +1,7 @@
 """Small integer helpers: primality, factoring, orders, divisors.
 
 Everything here is deterministic.  Sizes are modest (group orders of
-desk-scale fields, so < 2**64); trial division plus Brent's rho is plenty.
+desk-scale fields, so < 2**64); trial division plus Pollard's rho is plenty.
 order_from_multiple is the one order routine, for (Z/n)^* and field unit groups.
 """
 
@@ -39,29 +39,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int) -> int:
-    """One nontrivial factor of composite odd n, deterministic seed sweep."""
+def _rho(n: int) -> int:
+    """One nontrivial factor of composite odd n: Pollard's rho (BIT 15, 1975) on
+    x -> x*x + c from 2, Floyd's cycle test, c = 1, 2, ... until one splits n."""
     for c in range(1, 100):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
+        x = y = 2
+        g = 1
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
         if g != n:
             return g
     raise ArithmeticError(f"rho failed to split {n}")
@@ -88,7 +76,7 @@ def factorint(n: int) -> dict[int, int]:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _brent_rho(m)
+        d = _rho(m)
         stack.append(d)
         stack.append(m // d)
     return dict(sorted(out.items()))
@@ -118,8 +106,6 @@ def mult_order_mod(a: int, n: int) -> int:
     """Multiplicative order of a modulo n.  Requires gcd(a, n) = 1."""
     if n < 1:
         raise ValueError("modulus must be positive")
-    if n == 1:
-        return 1
     a %= n
     if math.gcd(a, n) != 1:
         raise ValueError(f"gcd({a}, {n}) != 1, order undefined")

@@ -4,8 +4,10 @@ Coefficients are stored in ascending order of the exponent (index i holds
 the coefficient of x**i), in the context's internal representation; the
 zero polynomial stores an empty tuple and reports degree -1.  A Poly never
 keeps trailing zero coefficients; the trusted `Poly._of` takes only tuples
-that have none.  One in-place division loop on coefficient lists serves
-``divmod``, ``%`` and `euclid`, the list-level Euclid under `poly_gcd`.
+that have none.  One schoolbook product on coefficient lists, `convolve`,
+serves ``*`` and field.py's generic vector kernel; one in-place division
+loop serves ``divmod``, ``%`` and `euclid`, the list-level Euclid under
+`poly_gcd`, the modulus scan and the gcd route to a Schur product.
 
 The context object supplies the coefficient arithmetic (``add``, ``mul``,
 ``inv``, ...), so this module works over any tower level from field.py
@@ -178,27 +180,12 @@ class Poly(Shared):
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        ctx = self.ctx
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(ctx)
-        mul, add, zero = ctx.mul, ctx.add, ctx.zero_rep
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == zero:
-                continue
-            for j, bj in enumerate(b):
-                if bj != zero:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-        return Poly(ctx, out)
+        return Poly(self.ctx, convolve(self.ctx, self.coeffs, other.coeffs))
 
     def scale(self, c) -> "Poly":
         """Multiply every coefficient by the rep c."""
-        ctx = self.ctx
-        if c == ctx.zero_rep:
-            return Poly.zero(ctx)
-        mul = ctx.mul
-        return Poly(ctx, (mul(a, c) for a in self.coeffs))
+        mul = self.ctx.mul
+        return Poly(self.ctx, (mul(a, c) for a in self.coeffs))
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -291,6 +278,19 @@ def mul_mod_constacyclic(a: Poly, b: Poly, n: int, lam) -> Poly:
     if a.degree >= n or b.degree >= n:
         raise ValueError(f"inputs must have degree < n = {n}")
     return (a * b) % (Poly.monomial(ctx, n) - Poly(ctx, (lam_rep,)))
+
+
+def convolve(ctx, a: Sequence, b: Sequence) -> list:
+    """Schoolbook product of two coefficient sequences over ctx, as a list;
+    an empty operand gives a list of zeros, which Poly strips."""
+    mul, add, zero = ctx.mul, ctx.add, ctx.zero_rep
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai != zero:
+            for j, bj in enumerate(b):
+                if bj != zero:
+                    out[i + j] = add(out[i + j], mul(ai, bj))
+    return out
 
 
 def _divide(ctx, rem: list, b: Sequence, quo: list | None = None) -> None:

@@ -16,7 +16,6 @@ from typing import Iterable
 
 from . import codes as cd
 from . import oracle as oc
-from .cdft import CodeParams
 from .field import FieldCtx, build_field
 from .numbertheory import divisors, factorint
 from .poly import Poly

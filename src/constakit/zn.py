@@ -91,11 +91,7 @@ def smallest_coset(a: ZnSet) -> tuple[int, ZnSet]:
     d = n
     for x in a.elements[1:]:
         d = math.gcd(d, x - base)
-    if d == n:
-        subgroup = ZnSet(n, (0,))
-    else:
-        subgroup = ZnSet(n, range(0, n, d))
-    return base, subgroup
+    return base, ZnSet(n, range(0, n, d))
 
 
 def fourier_bias(a: ZnSet) -> float:

@@ -32,7 +32,7 @@ from constakit import (
     schur_product_sumset,
     smallest_coset,
 )
-import constakit.codes as codes_module
+import constakit.poly as poly_module
 from constakit.oracle import generator_rows, rref
 
 
@@ -428,16 +428,20 @@ def test_gcd_method_custom_multiplier(f3, f5, negacyclic_example):
 def test_gcd_product_of_full_codes_takes_one_gcd(f3, hamming_example, monkeypatch):
     """Full x full: the first row is the constant 1, so Euclid takes one
     division, x^n - 1 by 1, and stops at gcd 1.  The Hamming square reaches
-    gcd 1 at its second row, g o x*g = x, and reads none of the rows after."""
+    gcd 1 at its second row, g o x*g = x, and reads none of the rows after.
+    Each product runs once first, so the code memo answers code_from_generator
+    and only the gcd route's own divisions are counted."""
     calls = []
-    real = codes_module._divide
+    real = poly_module._divide
 
     def counting(ctx, rem, b, quo=None):
         calls.append((list(rem), list(b)))
         return real(ctx, rem, b, quo)
 
-    monkeypatch.setattr(codes_module, "_divide", counting)
     full = code_from_generator(CodeParams(f3, 8, f3.one()), Poly.one(f3))
+    schur_product_gcd(full, full)
+    schur_product_gcd(hamming_example, hamming_example)
+    monkeypatch.setattr(poly_module, "_divide", counting)
     assert schur_product_gcd(full, full).is_full
     assert calls == [(list(full.params.xn_minus_lam.coeffs), [f3.one_rep])]
     calls.clear()

@@ -45,9 +45,14 @@ def test_factorint_of_one():
     (2**59 - 1, {179951: 1, 3203431780337: 1}),
     (1000003 * 1000033, {1000003: 1, 1000033: 1}),
     (2**64 - 1, {3: 1, 5: 1, 17: 1, 257: 1, 641: 1, 65537: 1, 6700417: 1}),
+    (2147483659**2, {2147483659: 2}),
+    (2097169**3, {2097169: 3}),
+    (4294967291 * 4294967279, {4294967279: 1, 4294967291: 1}),
+    (3000000019 * 3000000037, {3000000019: 1, 3000000037: 1}),
 ])
 def test_factorint_past_trial_division(n, expected):
-    """Factors above the trial-division bound (100,000) come from Brent's rho."""
+    """Factors above the trial-division bound (100,000) come from Pollard's rho:
+    prime powers and balanced semiprimes near the 2**64 cap included."""
     assert factorint(n) == expected
 
 
