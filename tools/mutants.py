@@ -39,10 +39,10 @@ COPIED = ("src", "tests", "tools", "perfbench", "pyproject.toml")
 TIMEOUT_S = 300
 
 
-def mutated(entry: dict, root: Path = ROOT) -> str:
-    """The text of the entry's file under root with the mutant applied;
-    ValueError unless the old text occurs exactly once."""
-    text = (root / entry["file"]).read_text()
+def mutated(entry: dict) -> str:
+    """The text of the entry's file with the mutant applied; ValueError
+    unless the old text occurs exactly once."""
+    text = (ROOT / entry["file"]).read_text()
     count = text.count(entry["old"])
     if count != 1:
         raise ValueError(f"{entry['name']}: old text occurs {count} times in {entry['file']}")
