@@ -1,7 +1,7 @@
 """Constacyclic codes, their spectra, and componentwise products."""
 
 from .field import FieldCtx, FieldElem, build_field, elem_order, find_element_of_order
-from .poly import Poly, mul_mod_constacyclic, poly_gcd, poly_xgcd, reciprocal, schur
+from .poly import Poly, poly_gcd, poly_xgcd, reciprocal, schur
 from .zn import ZnSet, fourier_bias, iterated_sumset, smallest_coset, sumset
 from .cdft import BasisFamily, CodeParams, RootBasis, Spectrum, build_basis
 from .codes import (
@@ -53,7 +53,6 @@ __all__ = [
     "find_element_of_order",
     "fourier_bias",
     "iterated_sumset",
-    "mul_mod_constacyclic",
     "oracle_dual",
     "oracle_pattern",
     "oracle_schur_product",

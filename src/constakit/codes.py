@@ -20,7 +20,7 @@ from .cdft import CodeParams, RootBasis, basis_family
 from .field import FieldElem
 from .numbertheory import is_prime
 from .poly import Poly, euclid, poly_gcd, reciprocal
-from .zn import ZnSet, fourier_bias, iterated_sumset, smallest_coset, sumset
+from .zn import ZnSet, iterated_sumset, smallest_coset, sumset
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,8 @@ def code_from_generator(
     A given basis is asked first; its memo keeps the code under g once g
     has passed every check below and the transform has given its support.
     """
+    if not isinstance(g, Poly):  # a ZnSet would read the other route's entry
+        raise ValueError("generator must be a polynomial")
     if basis is not None and basis.params == params and g in basis._codes:
         return basis._codes[g]
     if g.ctx is not params.field:
@@ -363,6 +365,9 @@ def bounds_report(c: ConstaCode) -> dict:
     bias_bound: max(3, (2*log b - log(n/k)) / (log b - log(n/k))) with b
     the Fourier bias of G, kept as stated but never applicable: b <= k/n by
     the triangle inequality and k/n <= 1 <= n/k, so the denominator is <= 0.
+    Its record says why from n, k and v alone, without computing b: the code
+    is degenerate, or k = n (Z_n is the one nonempty set of bias 0), or else
+    0 < b <= k/n < 1 < n/k makes the denominator negative.
     """
     if c.is_zero:
         raise ValueError("bounds are stated for nonzero codes")
@@ -392,24 +397,11 @@ def bounds_report(c: ConstaCode) -> dict:
     else:
         report["regularity_bound"] = {"applies": False, "bound": None, "holds": True}
 
-    report["bias_bound"] = _bias_bound_guarded(c.gen_set, n, k, pat)
-    return report
-
-
-def _bias_bound_guarded(gen_set: ZnSet, n: int, k: int, pat: PatternPoly) -> dict:
     if not pat.is_trivial:
-        return {"applicable": False, "reason": "degenerate code", "bound": None}
-    bias = fourier_bias(gen_set)
-    if bias == 0.0:
-        return {"applicable": False, "reason": "zero bias", "bound": None}
-    ratio = math.log(n / k)
-    den = math.log(bias) - ratio
-    if den <= 0:
-        return {
-            "applicable": False,
-            "reason": "nonpositive denominator",
-            "bound": None,
-            "bias": bias,
-        }
-    value = max(3.0, (2 * math.log(bias) - ratio) / den)
-    return {"applicable": True, "bound": value, "bias": bias, "reason": None}
+        reason = "degenerate code"
+    elif k == n:
+        reason = "zero bias"
+    else:
+        reason = "nonpositive denominator"
+    report["bias_bound"] = {"applicable": False, "reason": reason, "bound": None}
+    return report

@@ -263,23 +263,6 @@ def format_terms(ctx, reps: Sequence, var: str, text: Callable | None = None) ->
     return " + ".join(terms) if terms else "0"
 
 
-def mul_mod_constacyclic(a: Poly, b: Poly, n: int, lam) -> Poly:
-    """(a*b) mod (x**n - lam), for n >= 1; both inputs must have degree < n."""
-    from .field import FieldElem
-
-    ctx = a.ctx
-    if b.ctx is not ctx:
-        raise ValueError("polynomials over different field contexts")
-    lam_rep = lam.rep if isinstance(lam, FieldElem) else lam
-    if lam_rep == ctx.zero_rep:
-        raise ValueError("constacyclic constant must be nonzero")
-    if n < 1:
-        raise ValueError(f"length n must be >= 1, got {n}")
-    if a.degree >= n or b.degree >= n:
-        raise ValueError(f"inputs must have degree < n = {n}")
-    return (a * b) % (Poly.monomial(ctx, n) - Poly(ctx, (lam_rep,)))
-
-
 def convolve(ctx, a: Sequence, b: Sequence) -> list:
     """Schoolbook product of two coefficient sequences over ctx, as a list;
     an empty operand gives a list of zeros, which Poly strips."""

@@ -77,7 +77,7 @@ def _divisor_codes(basis) -> list[cd.ConstaCode]:
 
 def _check_single_code(c: cd.ConstaCode, rec: _Recorder, ctxinfo: dict) -> None:
     params = c.params
-    n, q = params.n, params.q
+    n = params.n
     info = _context(ctxinfo, g=c)
 
     # block structure: G a union of cosets of <n/v> iff g uses only
@@ -115,7 +115,7 @@ def _check_single_code(c: cd.ConstaCode, rec: _Recorder, ctxinfo: dict) -> None:
     rec.record("fills_iff_nondegenerate", (dims[-1] == n) == pat.is_trivial, info)
     rec.record("square_fills", report["square_fills"]["holds"], info)
     rec.record("regularity_bound", report["regularity_bound"]["holds"], info)
-    # bias bound is evaluated for its guards only; nothing to assert
+    # the bias bound's record is decided from n, k and v; nothing to assert
     rec.record("bias_bound_guarded", isinstance(report["bias_bound"], dict), info)
 
     if not pat.is_trivial:

@@ -57,7 +57,7 @@ SPECS = {
     "product_q2_n7_hamming.csv": (_PRODUCT + ["--format", "csv"], 0),
     "product_q2_n7_hamming_oracle.json": (_PRODUCT[:-1] + ["oracle"], 0),
     "powers_q2_n7_gen_set.json": (_POWERS_GEN_SET, 0),
-    # the full code: its generating set, all of Z_7, has Fourier bias exactly 0
+    # the full code: k = n, so its generating set, all of Z_7, has bias 0
     "powers_q2_n7_full.json": (_POWERS_GEN_SET[:-1] + ["[0,1,2,3,4,5,6]"], 0),
     "error_factor_p4.json": (["factor", "--p", "4", "--n", "3", "--lambda", "1"], 2),
     "error_factor_degrees0.json": (

@@ -185,6 +185,17 @@ def test_generating_set_code_leaves_the_generator_route_its_transform(f2, monkey
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("kind", ["memo's ZnSet", "list", "None"])
+def test_generator_route_refuses_a_non_polynomial_before_its_memo(f2, kind):
+    """A ZnSet is a key of the basis's memo too; the generator route must not
+    hand back the code the generating-set route keeps under it."""
+    basis = _fresh_basis(f2, 7)
+    code = code_from_generating_set(basis.params, basis, [0, 3, 5, 6])
+    g = {"memo's ZnSet": code.gen_set, "list": [1, 1, 0, 1], "None": None}[kind]
+    with pytest.raises(ValueError, match="^generator must be a polynomial$"):
+        code_from_generator(basis.params, g, basis)
+
+
 # -- duals ----------------------------------------------------------------
 
 
@@ -570,7 +581,11 @@ def test_bounds_report_shapes(negacyclic_example, degenerate_example, hamming_ex
     rep = bounds_report(hamming_example)
     assert rep["regularity_bound"] == {"applies": True, "bound": 2.0, "holds": True}
     assert rep["square_fills"] == {"applies": True, "square_full": True, "holds": True}
-    assert rep["bias_bound"]["applicable"] in (True, False)
+    assert rep["bias_bound"] == {
+        "applicable": False,
+        "reason": "nonpositive denominator",
+        "bound": None,
+    }
 
     rep = bounds_report(degenerate_example)
     assert rep["dims"] == (2,)
@@ -605,11 +620,10 @@ def test_square_fills_over_half(f2, f3):
 
 
 def test_bias_bound_when_applicable(f2):
-    # the guard only admits codes with log(bias) > log(n/k), i.e. bias*k > n;
-    # bias <= k/n by the triangle inequality, so that needs k > n and never
-    # fires (tests/test_zn.py checks the bias bounds), so the report must say
-    # "not applicable" rather than invent a number; the full code's bias is
-    # exactly 0, not float noise below the denominator's guard
+    # the bound needs log(bias) > log(n/k), i.e. bias*k > n; bias <= k/n by
+    # the triangle inequality (tests/test_zn.py checks it), so that needs
+    # k > n and never holds: the report says "not applicable" rather than
+    # invent a number, and the full code, whose bias is 0, says why
     params = CodeParams(f2, 7, f2.one())
     c = code_from_generating_set(params, None, [0, 1, 2, 3, 4, 5, 6])
     rep = bounds_report(c)

@@ -5,7 +5,6 @@ import pytest
 from constakit import (
     Poly,
     build_field,
-    mul_mod_constacyclic,
     poly_gcd,
     poly_xgcd,
     reciprocal,
@@ -182,31 +181,6 @@ def test_reciprocal(f3):
     # reversal swaps evaluation at a and 1/a up to a power
     two = f3.elem(2)
     assert r(two) == p(two.inverse()) * two**p.degree
-
-
-def test_mul_mod_constacyclic(f3):
-    lam = f3.elem(2)
-    a = Poly(f3, [1, 1])
-    b = Poly(f3, [0, 0, 0, 1])  # x^3
-    # (x^4 = lam): (1+x)*x^3 = x^3 + x^4 -> x^3 + 2
-    got = mul_mod_constacyclic(a, b, 4, lam)
-    assert got == Poly(f3, [2, 0, 0, 1])
-
-
-def test_mul_mod_constacyclic_matches_divmod(f3):
-    rng = random.Random(31)
-    lam = f3.elem(2)
-    modulus = Poly(f3, [1, 0, 0, 0, 1])  # x^4 - 2 = x^4 + 1
-    for _ in range(40):
-        a, b = rand_poly(f3, rng, 3), rand_poly(f3, rng, 3)
-        assert mul_mod_constacyclic(a, b, 4, lam) == (a * b) % modulus
-
-
-def test_mul_mod_constacyclic_refuses_length_zero(f3):
-    """x^0 - 1 is the zero polynomial, so there is no ring to reduce into."""
-    zero = Poly.zero(f3)
-    with pytest.raises(ValueError, match="length n must be >= 1"):
-        mul_mod_constacyclic(zero, zero, 0, f3.one())
 
 
 def test_schur_componentwise(f3):

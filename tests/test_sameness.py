@@ -1,10 +1,11 @@
-"""Three more of tools/sameness.py's fingerprints, pinned in the suite.
+"""Four more of tools/sameness.py's fingerprints, pinned in the suite.
 
-All three grids reach vector splitting fields: the product grid GF(2^20)
-and GF(3^8), the large-prime factor runs GF(p^3) at p = 1,000,003.  The
-transform grid reaches every path of RootBasis._transform and pins its
-values, not only the supports and generators the CLI prints.  The script
-is loaded from its file, as it is not a package module.
+Three grids reach vector splitting fields: the product grid GF(2^20) and
+GF(3^8), the large-prime factor runs GF(p^3) at p = 1,000,003, and the
+transform grid, which reaches every path of RootBasis._transform and pins
+its values, not only the supports and generators the CLI prints.  The
+powers grid pins every bound record `powers` prints, in all three formats.
+The script is loaded from its file, as it is not a package module.
 """
 
 import importlib.util
@@ -39,4 +40,10 @@ def test_transform_fingerprint(sameness):
 def test_large_prime_factor_fingerprint(sameness):
     assert sameness._fingerprint(sameness.large_prime_argvs()) == (
         "6 runs: md5 504776449f61fb7f0694bf6a1ad848ce, exit 0: 6"
+    )
+
+
+def test_powers_grid_fingerprint(sameness):
+    assert sameness._fingerprint(sameness.powers_argvs()) == (
+        "696 runs: md5 35df313255600f999bfb7b6a814aeac6, exit 0: 672, exit 2: 24"
     )

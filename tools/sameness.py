@@ -21,6 +21,10 @@ script and prints:
   j -> q*j on Z_n; at other lambda by generators, each irreducible factor
   that ``factor`` prints, and 1.  Every unordered pair of a point's codes,
   a code with itself included, is multiplied;
+* one md5 over the ``powers`` runs of a fixed grid of (field, n, lambda)
+  points, with their exit-code counts, digested the same way.  The codes
+  are chosen by the product grid's rule, the zero code included (exit 2),
+  and each is printed as JSON, text and CSV;
 * one md5 over the ``factor`` runs at the large prime p = 1,000,003, with
   n in {1, 2, 3} and lambda in {5, -2}, digested the same way.  Their
   delta powers are memoized one at a time (delta's order is past the eager
@@ -37,9 +41,9 @@ Run it in two checkouts and compare the output:
 
     python3 tools/sameness.py
 
-Standard library only; the full grid takes about 12 s on a 2-core VM, 2 s
-of it the product grid and well under 1 s each the large-prime runs and,
-once the tower levels are built, the transforms.
+Standard library only; the full grid takes about 13 s on a 2-core VM, 2 s
+of it the product grid, about 1 s the powers grid, and well under 1 s each
+the large-prime runs and, once the tower levels are built, the transforms.
 """
 
 from __future__ import annotations
@@ -84,6 +88,13 @@ PRODUCT_POINTS = (
     (3, "[2]", 5, "[0,1]"), (2, None, 25, "1"), (3, None, 16, "2"),
 )
 
+#: (p, --degrees, n, lambda) of each powers point.
+POWERS_POINTS = (
+    (2, None, 7, "1"), (2, None, 15, "1"), (2, None, 21, "1"), (3, None, 8, "1"),
+    (5, None, 6, "1"), (3, None, 4, "2"), (3, None, 8, "2"), (5, None, 4, "2"),
+    (2, "[2]", 5, "[0,1]"), (3, "[2]", 5, "[0,1]"), (2, "[2]", 9, "1"), (7, None, 8, "1"),
+)
+
 #: (p, degrees) of each base field of the transform grid, and its lengths.
 TRANSFORM_FIELDS = ((2, []), (3, []), (2, [2]), (5, []), (3, [2]))
 TRANSFORM_LENGTHS = range(1, 17)
@@ -125,22 +136,37 @@ def _orbits(q: int, n: int) -> list[list[int]]:
     return out
 
 
+def _point_codes(p, degrees, n, lam) -> tuple[list[str], list[list[str]]]:
+    """A point's field, n and lambda flags, and its codes' flags: at lambda = 1
+    a generating set per union of orbits, else each factor and 1 as generators."""
+    field = ["--p", str(p)] + (["--degrees", degrees] if degrees else [])
+    point = [*field, "--n", str(n), "--lambda", lam]
+    if lam == "1":
+        orbits = _orbits(p ** math.prod(json.loads(degrees or "[]")), n)
+        codes = [
+            ["--gen-set", json.dumps(sorted(j for i, o in enumerate(orbits) if m >> i & 1 for j in o))]
+            for m in range(1 << len(orbits))
+        ]
+    else:
+        factors = json.loads(run(["factor", *point])[1])["factors"]
+        codes = [["--generator", json.dumps(f)] for f in factors] + [["--generator", "[1]"]]
+    return point, codes
+
+
 def product_argvs():
-    for p, degrees, n, lam in PRODUCT_POINTS:
-        field = ["--p", str(p)] + (["--degrees", degrees] if degrees else [])
-        point = [*field, "--n", str(n), "--lambda", lam]
-        if lam == "1":
-            orbits = _orbits(p ** math.prod(json.loads(degrees or "[]")), n)
-            codes = [
-                ["--gen-set", json.dumps(sorted(j for i, o in enumerate(orbits) if m >> i & 1 for j in o))]
-                for m in range(1 << len(orbits))
-            ]
-        else:
-            factors = json.loads(run(["factor", *point])[1])["factors"]
-            codes = [["--generator", json.dumps(f)] for f in factors] + [["--generator", "[1]"]]
+    for spec in PRODUCT_POINTS:
+        point, codes = _point_codes(*spec)
         for i, code in enumerate(codes):
             for other in codes[i:]:
                 yield ["product", *point, *code, *other, "--method", "all"]
+
+
+def powers_argvs():
+    for spec in POWERS_POINTS:
+        point, codes = _point_codes(*spec)
+        for code in codes:
+            for fmt in ("json", "text", "csv"):
+                yield ["powers", *point, *code, "--format", fmt]
 
 
 def _fingerprint(argvs) -> str:
@@ -181,6 +207,7 @@ def report() -> None:
         print(f"verify {label}: exit {rc} md5 {hashlib.md5(out).hexdigest()}")
     print(f"factor {_fingerprint(factor_argvs())}")
     print(f"product {_fingerprint(product_argvs())}")
+    print(f"powers {_fingerprint(powers_argvs())}")
     print(f"factor p={LARGE_PRIME} {_fingerprint(large_prime_argvs())}")
     print(f"transform {transform_fingerprint()}")
 
