@@ -365,9 +365,8 @@ def bounds_report(c: ConstaCode) -> dict:
     bias_bound: max(3, (2*log b - log(n/k)) / (log b - log(n/k))) with b
     the Fourier bias of G, kept as stated but never applicable: b <= k/n by
     the triangle inequality and k/n <= 1 <= n/k, so the denominator is <= 0.
-    Its record says why from n, k and v alone, without computing b: the code
-    is degenerate, or k = n (Z_n is the one nonempty set of bias 0), or else
-    0 < b <= k/n < 1 < n/k makes the denominator negative.
+    Its record names the reason from n, k and v without computing b: a
+    degenerate code, k = n (only Z_n has bias 0), or a negative denominator.
     """
     if c.is_zero:
         raise ValueError("bounds are stated for nonzero codes")
