@@ -158,22 +158,18 @@ class RootBasis(Shared):
 
     def forward(self, coeffs: Sequence[FieldElem]) -> "Spectrum":
         """Spectrum of a base-field vector (padded with zeros to length n)."""
-        base = self.params.field
-        reps = self._reps(coeffs, base, "coefficients must be elements of the base field")
-        return self._spectrum(reps, base)
+        return self._spectrum(coeffs, self.params.field, "coefficients must be elements of the base field")
 
     def forward_poly(self, f: Poly) -> "Spectrum":
-        if f.ctx is not self.params.field:
+        if not isinstance(f, Poly) or f.ctx is not self.params.field:
             raise ValueError("polynomial is over the wrong field")
         if f.degree >= self.n:
             raise ValueError("polynomial degree must be below n")
-        return self._spectrum(f.padded(self.n), f.ctx)
+        return Spectrum(self, self._transform(self._point_exp, range(self.n), f.coeffs, f.ctx))
 
     def forward_extended(self, coeffs: Sequence[FieldElem]) -> "Spectrum":
         """Spectrum of a vector already over the splitting field."""
-        spl = self.splitting
-        reps = self._reps(coeffs, spl, "coefficients must be elements of the splitting field")
-        return self._spectrum(reps, spl)
+        return self._spectrum(coeffs, self.splitting, "coefficients must be elements of the splitting field")
 
     def inverse(self, values) -> tuple[FieldElem, ...]:
         """Vector over the splitting field whose spectrum is `values`.
@@ -184,19 +180,18 @@ class RootBasis(Shared):
         The caller decides whether to project the result down to the base
         field.
         """
-        values, spl, n = self._values(values), self.splitting, self.n
-        reps = self._reps(values, spl, "spectrum values must lie in the splitting field")
+        reps, spl, n = self._values(values), self.splitting, self.n
         return self._transform(range(0, -n, -1), self._point_exp, reps, spl, pow(n, -1, spl.p))
 
-    def _values(self, values):
-        """n spectrum values, refusing a Spectrum taken on another basis."""
+    def _values(self, values) -> list:
+        """Reps of n splitting-field values, refusing a Spectrum of another basis."""
         if isinstance(values, Spectrum):
             if values.basis is not self:
                 raise ValueError("spectrum was taken on a different basis")
             values = values.values
         if len(values) != self.n:
             raise ValueError(f"spectrum must have exactly n = {self.n} values")
-        return values
+        return self._reps(values, self.splitting, "spectrum values must lie in the splitting field")
 
     def _reps(self, elems, ctx: FieldCtx, message: str) -> list:
         n = self.n
@@ -209,7 +204,8 @@ class RootBasis(Shared):
             reps.append(x.rep)
         return reps
 
-    def _spectrum(self, reps, ctx: FieldCtx) -> "Spectrum":
+    def _spectrum(self, elems, ctx: FieldCtx, message: str) -> "Spectrum":
+        reps = self._reps(elems, ctx, message)
         return Spectrum(self, self._transform(self._point_exp, range(self.n), reps, ctx))
 
     def _transform(self, us, vs, reps, ctx: FieldCtx, scale: int = 1) -> tuple[FieldElem, ...]:
@@ -273,13 +269,9 @@ class RootBasis(Shared):
 
     def is_rational(self, values) -> bool:
         """Whether a spectrum comes from a vector over the base field."""
-        values = self._values(values)
-        n, q, t = self.n, self.params.q, self.frobenius_shift
-        spl = self.splitting
-        for j, v in enumerate(values):
-            if spl.pow_rep(v.rep, q) != values[(q * j + t) % n].rep:
-                return False
-        return True
+        reps, n, q, t = self._values(values), self.n, self.params.q, self.frobenius_shift
+        pow_rep = self.splitting.pow_rep
+        return all(pow_rep(v, q) == reps[(q * j + t) % n] for j, v in enumerate(reps))
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of j -> q*j + t on Z_n, each sorted, ordered by minimum.

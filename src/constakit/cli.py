@@ -31,10 +31,6 @@ from .poly import Poly
 from .verify import field_for_cardinality, run_grid_verification
 
 
-class CliError(ValueError):
-    """Input problem; rendered as a JSON error object with exit code 2."""
-
-
 class Report(NamedTuple):
     """One command's result: its exit status and every rendering of it."""
 
@@ -54,7 +50,7 @@ def parse_element(field: FieldCtx, obj):
         return field.elem(obj % field.p)
     if isinstance(obj, list):
         return field.elem(obj)
-    raise CliError(f"not a field element: {obj!r}")
+    raise ValueError(f"not a field element: {obj!r}")
 
 
 def element_out(e):
@@ -64,7 +60,7 @@ def element_out(e):
 
 def parse_poly(field: FieldCtx, obj) -> Poly:
     if not isinstance(obj, list):
-        raise CliError(f"a polynomial is a list of coefficients, got {obj!r}")
+        raise ValueError(f"a polynomial is a list of coefficients, got {obj!r}")
     return Poly.from_elements([parse_element(field, c) for c in obj]) if obj else Poly.zero(field)
 
 
@@ -76,7 +72,7 @@ def _json_flag(text: str, flag: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(f"{flag}: not valid JSON: {text!r}") from exc
+        raise ValueError(f"{flag}: not valid JSON: {text!r}") from exc
 
 
 def _cell(value) -> str:
@@ -91,7 +87,7 @@ def _field_from_args(args) -> FieldCtx:
     if type(degrees) is int:
         degrees = [degrees]
     if not isinstance(degrees, list) or not all(type(d) is int and d >= 1 for d in degrees):
-        raise CliError(f"--degrees: expected positive integers, got {args.degrees!r}")
+        raise ValueError(f"--degrees: expected positive integers, got {args.degrees!r}")
     return build_field(args.p, degrees)
 
 
@@ -105,7 +101,7 @@ def _code_from_spec(field: FieldCtx, n: int, lam_text: str, kind: str, text: str
     if kind == "generator":
         return cd.code_from_generator(params, parse_poly(field, obj))
     if not isinstance(obj, list) or not all(type(j) is int for j in obj):
-        raise CliError(f"--gen-set: expected residues mod n, got {text!r}")
+        raise ValueError(f"--gen-set: expected residues mod n, got {text!r}")
     return cd.code_from_generating_set(params, None, obj)
 
 
@@ -169,9 +165,9 @@ def _collect_codes(args, field: FieldCtx) -> list:
     specs = [("generator", g) for g in args.generator or []]
     specs += [("gen-set", s) for s in args.gen_set or []]
     if not 1 <= len(specs) <= 2:
-        raise CliError("give one code (squared) or two codes via --generator/--gen-set")
+        raise ValueError("give one code (squared) or two codes via --generator/--gen-set")
     if len(args.lam) not in (1, len(specs)):
-        raise CliError("--lambda must appear once, or once per code")
+        raise ValueError("--lambda must appear once, or once per code")
     # one code is squared; one --lambda serves both codes
     return [
         _code_from_spec(field, args.n, lam, kind, text)
@@ -237,9 +233,9 @@ def cmd_powers(args) -> Report:
     code_flags = {"generator": args.generator, "gen-set": args.gen_set}
     given = [(kind, text) for kind, text in code_flags.items() if text is not None]
     if len(given) == 2:
-        raise CliError("give the code as --generator or --gen-set, not both")
+        raise ValueError("give the code as --generator or --gen-set, not both")
     if not given:
-        raise CliError("give the code as --generator or --gen-set")
+        raise ValueError("give the code as --generator or --gen-set")
     c = _code_from_spec(field, args.n, args.lam, *given[0])
     report = cd.bounds_report(c)
     code, dims = describe_code(c), list(report["dims"])
@@ -276,11 +272,11 @@ def cmd_verify(args) -> Report:
     if type(qs) is int:
         qs = [qs]
     if not isinstance(qs, list) or not qs or not all(type(q) is int for q in qs):
-        raise CliError(f"--grid-q: expected prime powers, got {args.grid_q!r}")
+        raise ValueError(f"--grid-q: expected prime powers, got {args.grid_q!r}")
     if len(qs) > 8 or max(qs) > 32 or args.grid_n > 16:
-        raise CliError("grid too large: at most 8 field sizes, q <= 32, n <= 16")
+        raise ValueError("grid too large: at most 8 field sizes, q <= 32, n <= 16")
     if args.grid_n < 1:
-        raise CliError("--grid-n must be >= 1")
+        raise ValueError("--grid-n must be >= 1")
     for q in qs:
         field_for_cardinality(q)
     doc = run_grid_verification(qs, args.grid_n, corrupt=args.inject_corruption)
@@ -301,7 +297,7 @@ class _Parser(argparse.ArgumentParser):
     """Argument errors are bad input like any other, not a usage dump."""
 
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -263,7 +263,7 @@ def schur_product_gcd(
     xn1 = c1.params.xn_minus_lam
     g = c1.generator
     if s is not None:
-        if s.ctx is not ctx:
+        if not isinstance(s, Poly) or s.ctx is not ctx:
             raise ValueError("s is over the wrong field")
         if poly_gcd(s, xn1 // g).degree != 0:
             raise ValueError("s shares a factor with (x^n - lam1)/g1")

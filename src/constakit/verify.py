@@ -19,7 +19,7 @@ from . import oracle as oc
 from .field import FieldCtx, build_field
 from .numbertheory import divisors, factorint
 from .poly import Poly
-from .zn import smallest_coset
+from .zn import fourier_bias, smallest_coset
 
 
 def field_for_cardinality(q: int) -> FieldCtx:
@@ -39,14 +39,12 @@ class _Recorder:
     def __init__(self):
         self.checks: dict[str, int] = {}
         self.failed: dict[str, int] = {}
-        self.failures = 0
         self.first = None
 
     def record(self, name: str, ok: bool, context, **extra):
         """Count one check; context() builds the details of a first failure."""
         self.checks[name] = self.checks.get(name, 0) + 1
         if not ok:
-            self.failures += 1
             self.failed[name] = self.failed.get(name, 0) + 1
             if self.first is None:
                 self.first = {"check": name, **context(), **extra}
@@ -101,8 +99,8 @@ def _check_single_code(c: cd.ConstaCode, rec: _Recorder, ctxinfo: dict) -> None:
     if c.is_zero:
         return
 
-    pat = cd.pattern_polynomial(c)
-    rec.record("pattern_methods_agree", oc.oracle_pattern(c) == pat, info)
+    pat, oracle_pat = cd.pattern_polynomial(c), oc.oracle_pattern(c)
+    rec.record("pattern_methods_agree", oracle_pat == pat, info)
 
     # the pattern's spectral support is the smallest coset containing G
     offset, subgroup = smallest_coset(c.gen_set)
@@ -115,8 +113,16 @@ def _check_single_code(c: cd.ConstaCode, rec: _Recorder, ctxinfo: dict) -> None:
     rec.record("fills_iff_nondegenerate", (dims[-1] == n) == pat.is_trivial, info)
     rec.record("square_fills", report["square_fills"]["holds"], info)
     rec.record("regularity_bound", report["regularity_bound"]["holds"], info)
-    # the bias bound's record is decided from n, k and v; nothing to assert
-    rec.record("bias_bound_guarded", isinstance(report["bias_bound"], dict), info)
+    # the bias record's reason by another route: the oracle's pattern and b itself
+    if not oracle_pat.is_trivial:
+        reason = "degenerate code"
+    elif (b := fourier_bias(c.gen_set)) == 0:
+        reason = "zero bias"
+    elif math.log(b) <= math.log(n / c.dim):
+        reason = "nonpositive denominator"
+    else:
+        reason = "applicable"
+    rec.record("bias_bound_guarded", report["bias_bound"]["reason"] == reason, info)
 
     if not pat.is_trivial:
         core = cd.core_code(c)
@@ -215,7 +221,7 @@ def run_grid_verification(
         "codes_checked": codes_checked,
         "pairs_checked": pairs_checked,
         "checks": dict(sorted(rec.checks.items())),
-        "failures": rec.failures,
+        "failures": sum(rec.failed.values()),
         "failed_by_check": dict(sorted(rec.failed.items())),
         "first_counterexample": rec.first,
     }

@@ -175,6 +175,20 @@ def test_spectrum_of_another_basis_is_refused(f3):
     assert s.inverse() == s.basis.inverse(s) == tuple(x.lift(fam.splitting) for x in a)
 
 
+@pytest.mark.parametrize(
+    "p, n, lam, foreign",
+    [(5, 2, 1, 7), (2, 5, 1, 2), (5, 16, 2, 5)],
+    ids=["prime GF(5)", "tabulated GF(2^4)", "vector GF(5^16)"],
+)
+def test_spectrum_values_from_another_field_are_refused(p, n, lam, foreign):
+    field = build_field(p, [])
+    basis = build_basis(CodeParams(field, n, field.elem(lam)))
+    values = [build_field(foreign, []).one()] * n
+    for method in (basis.inverse, basis.is_rational):
+        with pytest.raises(ValueError, match="^spectrum values must lie in the splitting field$"):
+            method(values)
+
+
 def test_linear_factor_product_and_poly_to_base(f3):
     basis = build_basis(CodeParams(f3, 4, f3.elem(2)))
     f = basis.poly_to_base(basis.linear_factor_product([0, 1]))

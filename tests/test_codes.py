@@ -436,6 +436,12 @@ def test_gcd_method_custom_multiplier(f3, f5, negacyclic_example):
         schur_product_gcd(negacyclic_example, negacyclic_example, Poly.one(f5))
 
 
+@pytest.mark.parametrize("s", [[1], ZnSet(4, [0])], ids=["list", "ZnSet"])
+def test_gcd_method_refuses_a_non_polynomial_multiplier(negacyclic_example, s):
+    with pytest.raises(ValueError, match="^s is over the wrong field$"):
+        schur_product_gcd(negacyclic_example, negacyclic_example, s)
+
+
 def test_gcd_product_of_full_codes_takes_one_gcd(f3, hamming_example, monkeypatch):
     """Full x full: the first row is the constant 1, so Euclid takes one
     division, x^n - 1 by 1, and stops at gcd 1.  The Hamming square reaches
@@ -644,6 +650,10 @@ def _code(field, n, gen_set):
     [
         (lambda: CodeParams(_F3, 4, _F5.elem(2)), "lam must be an element of the given field"),
         (lambda: build_basis(_P3).forward_poly(Poly.one(_F5)), "polynomial is over the wrong field"),
+        pytest.param(lambda: build_basis(_P3).forward_poly([1]), "polynomial is over the wrong field",
+                     id="forward_poly of a list"),
+        pytest.param(lambda: build_basis(_P3).forward_poly(None), "polynomial is over the wrong field",
+                     id="forward_poly of None"),
         (lambda: build_basis(_P3).forward_poly(Poly.monomial(_F3, 4)),
          "polynomial degree must be below n"),
         (lambda: code_from_generating_set(_P3, build_basis(CodeParams(_F3, 4, _F3.one())), [0]),

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from constakit import (
     reciprocal,
     schur,
 )
+from constakit.numbertheory import divisors, factorint, mult_order_mod
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +118,8 @@ def test_divides_and_monic(f3):
     assert not (x + Poly.from_elements([f3.elem(2)])).divides(p + Poly.one(f3))
     doubled = p.scale(f3.elem(2).rep)
     assert doubled.monic() == p.monic() == p
+    zero = Poly.zero(f3)
+    assert zero.divides(zero) and not zero.divides(p)
 
 
 def test_eval_matches_horner(f4):
@@ -189,6 +193,7 @@ def test_schur_componentwise(f3):
     assert [e.rep for e in schur(u, v)] == [2, 1, 0, 1]
     with pytest.raises(ValueError):
         schur(u, v[:3])
+    assert schur((), ()) == ()
 
 
 # -- division and gcd against independent references ------------------------
@@ -255,3 +260,31 @@ def test_division_and_gcd_errors(f4):
         a % zero
     with pytest.raises(ValueError, match="undefined"):
         poly_gcd(zero, zero)
+
+
+_F3, _F4 = build_field(3, []), build_field(2, [2])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Poly.monomial(_F3, -1), "monomial exponent must be >= 0"),
+        (lambda: Poly.from_elements([]), "from_elements needs at least one element"),
+        (lambda: Poly.from_elements([_F3.one(), _F4.one()]), "mixed field contexts in coefficient list"),
+        (lambda: Poly.monomial(_F3, 3).padded(3), "degree 3 does not fit in length 3"),
+        (lambda: Poly.one(_F3) + Poly.one(_F4), "polynomials over different field contexts"),
+        (lambda: Poly.zero(_F3).monic(), "zero polynomial has no monic scaling"),
+        (lambda: Poly.x(_F3)(_F4.one()), "evaluation point must belong to the same context"),
+        (lambda: poly_gcd(Poly.x(_F3), Poly.x(_F4)), "polynomials over different field contexts"),
+        (lambda: poly_xgcd(Poly.x(_F3), Poly.x(_F4)), "polynomials over different field contexts"),
+        (lambda: poly_xgcd(Poly.zero(_F3), Poly.zero(_F3)), "gcd(0, 0) is undefined"),
+        (lambda: reciprocal(Poly.zero(_F3)), "zero polynomial has no reciprocal"),
+        (lambda: schur([_F3.one()], [_F4.one()]), "schur vectors must share one field context"),
+        (lambda: factorint(0), "factorint expects a positive integer"),
+        (lambda: divisors(0), "divisors expects a positive integer"),
+        (lambda: mult_order_mod(3, 0), "modulus must be positive"),
+    ],
+)
+def test_bad_input_is_refused(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()
