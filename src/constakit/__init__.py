@@ -1,7 +1,7 @@
 """Constacyclic codes, their spectra, and componentwise products."""
 
-from .field import FieldCtx, FieldElem, build_field, elem_order, find_element_of_order
-from .poly import Poly, poly_gcd, poly_xgcd, reciprocal, schur
+from .field import FieldCtx, FieldElem, build_field, elem_order, find_element_of_order, schur
+from .poly import Poly, poly_gcd, poly_xgcd, reciprocal
 from .zn import ZnSet, fourier_bias, iterated_sumset, smallest_coset, sumset
 from .cdft import BasisFamily, CodeParams, RootBasis, Spectrum, build_basis
 from .codes import (

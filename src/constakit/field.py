@@ -34,18 +34,18 @@ Representations.  Internally an element of a level is
 Subfields embed positionally: the element of index i in a sublevel is the
 element of index i upstairs.  Each context keeps its levels (itself, then
 each level below) and two index maps, _index_of and _rep_of (the identity
-where reps are indices); lift and project check the target's place in the
-levels and map through them, so embedding small-field scalars is one digit
-and projecting to a subfield K is an index check: the element lies in K iff
-its index is below |K|.  FieldElem, a frozen dataclass, sets its two slots
-through their descriptors (poly.slot_setters), at a plain object's cost.
+where reps are indices); lift, project and the format methods map through
+them, so embedding small-field scalars is one digit and projecting to a
+subfield K is an index check (the element lies in K iff its index is below
+|K|).  FieldElem, a frozen dataclass, sets its two slots through their
+descriptors (poly.slot_setters), at a plain object's cost.
 
 Orders.  elem_order strips primes from Q - 1 (numbertheory.order_from_multiple);
 _first_of_order is the one "first candidate of order exactly e" scan, which
 picks find_element_of_order's result and each tabulated level's generator.
 
 Public entry points: build_field, FieldCtx, FieldElem, elem_order,
-find_element_of_order.
+find_element_of_order, schur.
 """
 
 from __future__ import annotations
@@ -172,6 +172,19 @@ class FieldElem(Shared):
 _set_ctx, _set_rep = slot_setters(FieldElem)
 
 
+def schur(u: Sequence, v: Sequence) -> tuple:
+    """Componentwise product of two equal-length vectors of field elements."""
+    if len(u) != len(v):
+        raise ValueError("schur product needs equal-length vectors")
+    if not u:
+        return ()
+    ctx = u[0].ctx
+    for e in list(u) + list(v):
+        if not isinstance(e, FieldElem) or e.ctx is not ctx:
+            raise ValueError("schur vectors must share one field context")
+    return tuple(FieldElem(ctx, ctx.mul(a.rep, b.rep)) for a, b in zip(u, v))
+
+
 class FieldCtx(Shared):
     """One level of a field tower.  Immutable after construction."""
 
@@ -286,8 +299,7 @@ class FieldCtx(Shared):
     def rep_to_nested(self, rep):
         if self.kind == "prime":
             return rep
-        vec = rep if self.kind == "vector" else self._vec_from_index(rep)
-        return [self.subfield.rep_to_nested(c) for c in vec]
+        return [self.subfield.rep_to_nested(c) for c in self._vec_from_index(self._index_of(rep))]
 
     def rep_from_nested(self, data):
         if self.kind == "prime":
@@ -300,10 +312,7 @@ class FieldCtx(Shared):
             raise ValueError(
                 f"expected {self.step_degree} coefficients for {self!r}, got {data!r}"
             )
-        vec = tuple(self.subfield.rep_from_nested(c) for c in data)
-        if self.kind == "tabulated":
-            return self._vec_to_index(vec)
-        return vec
+        return self._rep_of(self._vec_to_index([self.subfield.rep_from_nested(c) for c in data]))
 
     def pow_rep(self, rep, e: int):
         if e < 0:
@@ -314,7 +323,7 @@ class FieldCtx(Shared):
     def rep_to_str(self, rep) -> str:
         if self.kind == "prime":
             return str(rep)
-        vec = rep if self.kind == "vector" else self._vec_from_index(rep)
+        vec = self._vec_from_index(self._index_of(rep))
         return format_terms(self.subfield, vec, _var_name(len(self.degrees)))
 
     # -- public API ---------------------------------------------------------

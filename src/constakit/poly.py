@@ -300,8 +300,7 @@ def _divide(ctx, rem: list, b: Sequence, quo: list | None = None) -> None:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, 0) is an error."""
-    if a.ctx is not b.ctx:
-        raise ValueError("polynomials over different field contexts")
+    a._check(b)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     return Poly._of(a.ctx, tuple(euclid(a.ctx, list(a.coeffs), list(b.coeffs)))).monic()
@@ -318,8 +317,7 @@ def euclid(ctx, r0: list, r1: list) -> list:
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """Extended Euclid: returns monic g and u, v with u*a + v*b = g."""
     ctx = a.ctx
-    if b.ctx is not ctx:
-        raise ValueError("polynomials over different field contexts")
+    a._check(b)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     r0, r1 = a, b
@@ -353,17 +351,3 @@ def reciprocal(a: Poly) -> Poly:
         raise ValueError("zero polynomial has no reciprocal")
     return Poly(a.ctx, tuple(reversed(a.coeffs)))
 
-
-def schur(u: Sequence, v: Sequence) -> tuple:
-    """Componentwise product of two equal-length vectors of field elements."""
-    from .field import FieldElem
-
-    if len(u) != len(v):
-        raise ValueError("schur product needs equal-length vectors")
-    if not u:
-        return ()
-    ctx = u[0].ctx
-    for e in list(u) + list(v):
-        if not isinstance(e, FieldElem) or e.ctx is not ctx:
-            raise ValueError("schur vectors must share one field context")
-    return tuple(FieldElem(ctx, ctx.mul(a.rep, b.rep)) for a, b in zip(u, v))

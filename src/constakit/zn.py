@@ -20,6 +20,10 @@ class ZnSet:
     elements: tuple[int, ...]
 
     def __init__(self, n: int, elements: Iterable[int] = ()):
+        elements = tuple(elements)
+        for x in (n, *elements):  # bools and floats would reduce to residues
+            if type(x) is not int:
+                raise ValueError(f"ZnSet modulus and elements must be ints, got {x!r}")
         if n < 1:
             raise ValueError("modulus must be >= 1")
         elems = tuple(sorted({e % n for e in elements}))

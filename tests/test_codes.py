@@ -1,5 +1,4 @@
 import math
-import random
 import re
 
 import pytest
@@ -34,6 +33,7 @@ from constakit import (
 )
 import constakit.poly as poly_module
 from constakit.oracle import generator_rows, rref
+from constakit.verify import _divisor_codes
 
 
 def all_codes(field, n, lam):
@@ -362,21 +362,38 @@ def test_worked_square_hamming(hamming_example, f2):
     assert sq.generator == Poly.one(f2)
 
 
-def test_product_methods_match_oracle_sampled(f5):
-    lam1, lam2 = f5.elem(2), f5.elem(3)
-    rng = random.Random(77)
-    codes1 = all_codes(f5, 6, lam1)
-    codes2 = all_codes(f5, 6, lam2)
-    for _ in range(25):
-        c1 = rng.choice(codes1)
-        c2 = rng.choice(codes2)
-        by_sum = schur_product_sumset(c1, c2)
-        by_gcd = schur_product_gcd(c1, c2)
-        assert by_sum.params.lam == lam1 * lam2
-        assert by_sum.generator == by_gcd.generator
-        assert by_sum.gen_set == by_gcd.gen_set
-        dim, gen = oracle_schur_product(c1, c2)
-        assert (by_sum.dim, by_sum.generator) == (dim, gen)
+def test_product_methods_match_oracle_on_every_cross_lambda_pair():
+    """Every ordered pair of codes over every (lam1, lam2) of the default
+    verify grid (q in 2, 3, 5; n <= 10 prime to q), which pairs codes of
+    one lam only: the product is lam1*lam2-constacyclic, the sumset and gcd
+    routes give the same code and generating set, the oracle gives the same
+    (dim, generator), and a product of nonzero codes has the pattern that
+    pattern_of_product reads off the factors."""
+    pairs = 0
+    for q in (2, 3, 5):
+        field = build_field(q, [])
+        for n in range(1, 11):
+            if math.gcd(n, q) != 1:
+                continue
+            fam = basis_family(field, n)
+            codes = [c for lam in range(1, q)
+                     for c in _divisor_codes(fam.basis_for_lambda(field.elem(lam)))]
+            oracle = {}
+            for i, c1 in enumerate(codes):
+                for j, c2 in enumerate(codes):
+                    where = (q, n, i, j)
+                    by_sum = schur_product_sumset(c1, c2)
+                    by_gcd = schur_product_gcd(c1, c2)
+                    assert by_sum.params.lam == c1.params.lam * c2.params.lam, where
+                    assert by_sum == by_gcd and by_sum.gen_set == by_gcd.gen_set, where
+                    key = (min(i, j), max(i, j))
+                    if key not in oracle:
+                        oracle[key] = oracle_schur_product(c1, c2)
+                    assert (by_sum.dim, by_sum.generator) == oracle[key], where
+                    if not c1.is_zero and not c2.is_zero:
+                        assert pattern_of_product(c1, c2) == pattern_polynomial(by_sum), where
+                    pairs += 1
+    assert pairs == 12_168
 
 
 def test_product_with_zero_code(f3):

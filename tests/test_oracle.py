@@ -16,6 +16,8 @@ from constakit import (
 from constakit.codes import basis_family
 from constakit.oracle import generator_rows, rref, span_contains
 
+from test_codes import all_codes
+
 
 def test_rref_pinned_example(f3):
     rows = [(1, 1, 1, 0), (0, 2, 1, 0), (1, 0, 0, 1)]
@@ -81,20 +83,6 @@ def _every_ordered_pair(c1, c2):
     return len(echelon), Poly(ctx, echelon[-1][::-1])
 
 
-def _codes(field, n, lam):
-    """Every code of length n over field with constant lam, zero and full included."""
-    basis = basis_family(field, n).basis_for_lambda(lam)
-    factors = basis.irreducible_factors()
-    out = []
-    for mask in range(1 << len(factors)):
-        g = Poly.one(field)
-        for i, f in enumerate(factors):
-            if mask >> i & 1:
-                g = g * f
-        out.append(code_from_generator(basis.params, g, basis))
-    return out
-
-
 def test_oracle_square_forms_each_unordered_pair_once(
     f3, f4, negacyclic_example, hamming_example, degenerate_example
 ):
@@ -125,7 +113,7 @@ def test_oracle_product_equals_every_ordered_pair(p, degrees, n, lams):
     """One product per shift diagonal spans what all k1*k2 ordered products
     span, on every pair: distinct codes, distinct lam, zero and full codes."""
     field = build_field(p, degrees)
-    codes = [c for lam in lams for c in _codes(field, n, field.elem(lam))]
+    codes = [c for lam in lams for c in all_codes(field, n, field.elem(lam))]
     assert any(c.is_zero for c in codes) and any(c.is_full for c in codes)
     for c1 in codes:
         for c2 in codes:

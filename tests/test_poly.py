@@ -277,6 +277,8 @@ _F3, _F4 = build_field(3, []), build_field(2, [2])
         (lambda: Poly.x(_F3)(_F4.one()), "evaluation point must belong to the same context"),
         (lambda: poly_gcd(Poly.x(_F3), Poly.x(_F4)), "polynomials over different field contexts"),
         (lambda: poly_xgcd(Poly.x(_F3), Poly.x(_F4)), "polynomials over different field contexts"),
+        (lambda: poly_gcd(Poly.x(_F3), [1]), "polynomials over different field contexts"),
+        (lambda: poly_xgcd(Poly.x(_F3), [1]), "polynomials over different field contexts"),
         (lambda: poly_xgcd(Poly.zero(_F3), Poly.zero(_F3)), "gcd(0, 0) is undefined"),
         (lambda: reciprocal(Poly.zero(_F3)), "zero polynomial has no reciprocal"),
         (lambda: schur([_F3.one()], [_F4.one()]), "schur vectors must share one field context"),

@@ -103,3 +103,14 @@ def test_values_built_by_init_are_frozen_slotted_values(built, canonical):
             setattr(a, f.name, getattr(a, f.name))
     moved = dataclasses.replace(a, ctx=F5)
     assert dataclasses.replace(a) == a and moved.ctx is F5 and moved != a
+
+
+@pytest.mark.parametrize("shown, expected", [
+    (lambda: repr(BASIS), "RootBasis(n=4, lam=2, beta=delta^1 in GF(3^2))"),
+    (lambda: repr(basis_family(F3, 4)), "BasisFamily(q=3, n=4, o=2)"),
+    (lambda: repr(CODE), "ConstaCode(q=3, n=4, lam=2, g=Poly(x^2 + x + 2))"),
+    (lambda: repr(ZnSet(4, [3, 2, 6])), "ZnSet(4, {2, 3})"),
+    (lambda: len(BASIS.forward([F3.elem(1), F3.elem(2)])), PARAMS.n),
+], ids=["RootBasis", "BasisFamily", "ConstaCode", "ZnSet", "len-Spectrum"])
+def test_reprs_and_spectrum_length_are_pinned(shown, expected):
+    assert shown() == expected

@@ -1,11 +1,17 @@
 import cmath
 import math
 import random
+import re
 from itertools import combinations
 
 import pytest
 
-from constakit import ZnSet, fourier_bias, iterated_sumset, smallest_coset, sumset
+from constakit import (
+    CodeParams, ZnSet, build_field, code_from_generating_set, fourier_bias, iterated_sumset,
+    smallest_coset, sumset,
+)
+
+_F2 = build_field(2, [])
 
 
 def test_normalization_and_membership():
@@ -19,6 +25,18 @@ def test_normalization_and_membership():
 def test_requires_positive_modulus():
     with pytest.raises(ValueError):
         ZnSet(0, [])
+
+
+@pytest.mark.parametrize("make, bad", [
+    (lambda: ZnSet(4, [1.5]), "1.5"),
+    (lambda: ZnSet(4, [True, 2.0]), "True"),
+    (lambda: code_from_generating_set(CodeParams(_F2, 7, _F2.one()), None, [0.5]), "0.5"),
+    (lambda: ZnSet(4.0, [1]).complement(), "4.0"),
+], ids=["float", "bool", "gen-set", "float-modulus"])
+def test_modulus_and_elements_must_be_ints(make, bad):
+    """Bools and floats reduce mod n to residues, so each is refused first."""
+    with pytest.raises(ValueError, match=f"must be ints, got {re.escape(bad)}$"):
+        make()
 
 
 def test_complement_negate_translate():
