@@ -20,13 +20,14 @@ class ZnSet:
     elements: tuple[int, ...]
 
     def __init__(self, n: int, elements: Iterable[int] = ()):
-        elements = tuple(elements)
-        for x in (n, *elements):  # bools and floats would reduce to residues
-            if type(x) is not int:
-                raise ValueError(f"ZnSet modulus and elements must be ints, got {x!r}")
+        if type(n) is not int:
+            raise ValueError(f"ZnSet modulus must be an int, got {n!r}")
         if n < 1:
             raise ValueError("modulus must be >= 1")
-        elems = tuple(sorted({e % n for e in elements}))
+        residues = {e % n if type(e) is int else None for e in elements}
+        if None in residues:  # a bool or a float would have reduced to a residue
+            raise ValueError("ZnSet elements must be ints")
+        elems = tuple(sorted(residues))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "elements", elems)
 

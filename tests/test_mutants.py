@@ -1,7 +1,8 @@
 """tools/mutants.json still applies to the code: checked without running pytest.
 
 The mutation tool refuses an entry whose old text does not occur exactly once,
-so a table entry that no longer matches its file would stop the tool.  The
+and pytest refuses a test node that is gone, so a table entry that no longer
+matches its file or names a deleted test would stop the tool.  The
 script is loaded from its file, as it is not a package module.
 """
 
@@ -22,4 +23,6 @@ def test_every_mutant_applies_once_to_its_file():
         assert entry["old"] != entry["new"], entry["name"]
         mutants.mutated(entry)  # raises unless the old text occurs exactly once
         for test in entry["tests"]:
-            assert (_ROOT / test.partition("::")[0]).is_file(), (entry["name"], test)
+            path, _, node = test.partition("::")
+            assert (_ROOT / path).is_file(), (entry["name"], test)
+            assert not node or f"def {node}(" in (_ROOT / path).read_text(), (entry["name"], test)
