@@ -54,6 +54,8 @@ MAX_LENGTH = 4096
 
 
 def _check_length(n: int, q: int) -> None:
+    if type(n) is not int:
+        raise ValueError(f"length must be an int, got {n!r}")
     if n < 1:
         raise ValueError("length must be >= 1")
     if math.gcd(n, q) != 1:
@@ -371,6 +373,8 @@ _FAMILIES: dict[tuple[FieldCtx, int, int], BasisFamily] = {}
 
 def basis_family(field: FieldCtx, n: int, o: int | None = None) -> BasisFamily:
     """The memoized BasisFamily(field, n, o), o defaulting to q - 1; one per process."""
+    if type(n) is not int:  # refused before the memo, where 4.0 would find n = 4
+        _check_length(n, field.cardinality)
     key = (field, n, field.cardinality - 1 if o is None else o)
     fam = _FAMILIES.get(key)
     if fam is None:

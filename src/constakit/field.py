@@ -40,9 +40,9 @@ subfield K is an index check (the element lies in K iff its index is below
 |K|).  FieldElem, a frozen dataclass, sets its two slots through their
 descriptors (poly.slot_setters), at a plain object's cost.
 
-Orders.  elem_order strips primes from Q - 1 (numbertheory.order_from_multiple);
-_first_of_order is the one "first candidate of order exactly e" scan, which
-picks find_element_of_order's result and each tabulated level's generator.
+Orders.  numbertheory.order_from_multiple is the one order routine: elem_order
+strips primes from Q - 1 with it, and find_element_of_order and each tabulated
+level's generator scan take the first candidate whose order it finds is e.
 
 Public entry points: build_field, FieldCtx, FieldElem, elem_order,
 find_element_of_order, schur.
@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -178,7 +178,7 @@ def schur(u: Sequence, v: Sequence) -> tuple:
         raise ValueError("schur product needs equal-length vectors")
     if not u:
         return ()
-    ctx = u[0].ctx
+    ctx = getattr(u[0], "ctx", None)
     for e in list(u) + list(v):
         if not isinstance(e, FieldElem) or e.ctx is not ctx:
             raise ValueError("schur vectors must share one field context")
@@ -389,7 +389,9 @@ def _install_log_ops(ctx: FieldCtx, vec_mul) -> None:
     Q, p, one = ctx.cardinality, ctx.p, ctx._vec_one
     vec_to_index, vec_from_index = ctx._vec_to_index, ctx._vec_from_index
     n1 = Q - 1
-    g = _first_of_order(map(vec_from_index, range(1, Q)), vec_mul, one, n1)
+    power = partial(square_and_multiply, vec_mul, one)
+    units = map(vec_from_index, range(1, Q))
+    g = next(x for x in units if nt.order_from_multiple(x, n1, power, one) == n1)
     D = math.prod(ctx.degrees)
     L, P = D // 2, p ** (D // 2)
 
@@ -563,18 +565,14 @@ def _is_irreducible(f: Poly, sub: FieldCtx) -> bool:
     gcd(x**(S**i) - x, f) = 1 for every i <= d/2: a reducible f has an
     irreducible factor of some degree i <= d/2, and that factor divides
     x**(S**i) - x.  Most reducible f have a small factor, so the loop
-    usually stops at i = 1 or 2.  A polynomial in x**p is the p-th power
-    of a polynomial and is rejected without the loop.
+    usually stops at i = 1 or 2.
 
     The powers are tuples mod f.  X = x**S takes square-and-multiply; after
     it, u -> u**S being F_S-linear, x**(S**i) = sum_k c_k X**k for
     x**(S**(i-1)) = sum_k c_k x**k (von zur Gathen & Shoup 1992), on the
     powers X**k, built once f survives i = 1.
     """
-    zero = sub.zero_rep
-    if all(c == zero for i, c in enumerate(f.coeffs) if i % sub.p):
-        return False
-    d = f.degree
+    zero, d = sub.zero_rep, f.degree
     _, (add, _, mul, scale) = _modulus_ops(sub, f)
     one = (sub.one_rep,) + (zero,) * (d - 1)
     frob = X = square_and_multiply(mul, one, (zero,) + one[:-1], sub.cardinality)
@@ -639,7 +637,9 @@ def build_field(p: int, degrees: Sequence[int]) -> FieldCtx:
     towers, primes included, above DEFAULT_MAX_CARDINALITY before testing p,
     and decides from bit lengths past 2**128, so it never forms a huge power.
     """
-    degs = tuple(int(d) for d in degrees)
+    degs = tuple(degrees)
+    if type(p) is not int or any(type(d) is not int for d in degs):
+        raise ValueError(f"p and the extension degrees must be ints, got {p!r} and {list(degs)!r}")
     if any(d < 1 for d in degs):
         raise ValueError("extension degrees must be >= 1")
     degs = tuple(d for d in degs if d > 1)
@@ -670,16 +670,6 @@ def elem_order(x: FieldElem) -> int:
     return nt.order_from_multiple(x.rep, x.ctx.cardinality - 1, x.ctx.pow_rep, x.ctx.one_rep)
 
 
-def _first_of_order(candidates: Iterable, mul, one, e: int):
-    """The first of candidates, each with x**e = one, whose order is exactly e:
-    x**(e/r) != one for every prime r dividing e."""
-    cofactors = [e // r for r in nt.factorint(e)]
-    for x in candidates:
-        if all(square_and_multiply(mul, one, x, c) != one for c in cofactors):
-            return x
-    raise RuntimeError("no element of the requested order; unreachable")
-
-
 def find_element_of_order(ctx: FieldCtx, e: int) -> FieldElem:
     """Deterministically pick an element of multiplicative order exactly e.
 
@@ -690,16 +680,16 @@ def find_element_of_order(ctx: FieldCtx, e: int) -> FieldElem:
     of (Q-1)/phi(e) elements, which is hopeless at desk scale).  Unless e
     divides S - 1, h skips the sublevel (size S), whose powers stay in it.
     """
-    Q = ctx.cardinality
+    Q, power, one = ctx.cardinality, ctx.pow_rep, ctx.one_rep
     if e < 1:
         raise ValueError("order must be >= 1")
     if (Q - 1) % e != 0:
         raise ValueError(f"no element of order {e}: it does not divide {Q - 1}")
-    if Q <= SCAN_LIMIT:
-        reps = map(ctx.rep_from_index, range(1, Q))
-        candidates = (x for x in reps if ctx.pow_rep(x, e) == ctx.one_rep)
+    if Q <= SCAN_LIMIT:  # order_from_multiple needs x**e = one
+        candidates = (x for x in map(ctx.rep_from_index, range(1, Q)) if power(x, e) == one)
     else:
         S = ctx.subfield.cardinality if ctx.subfield else 1
         hs = map(ctx.rep_from_index, range(1 if (S - 1) % e == 0 else S, Q))
-        candidates = (ctx.pow_rep(h, (Q - 1) // e) for h in hs)
-    return FieldElem(ctx, _first_of_order(candidates, ctx.mul, ctx.one_rep, e))
+        candidates = (power(h, (Q - 1) // e) for h in hs)
+    of_order_e = (x for x in candidates if nt.order_from_multiple(x, e, power, one) == e)
+    return FieldElem(ctx, next(of_order_e))

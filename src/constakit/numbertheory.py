@@ -1,7 +1,7 @@
 """Small integer helpers: primality, factoring, orders, divisors.
 
 Everything here is deterministic.  Sizes are modest (group orders of
-desk-scale fields, so < 2**64); trial division plus Pollard's rho is plenty.
+desk-scale fields, so < 2**64); Pollard's rho after 2, 3 and 5 is plenty.
 order_from_multiple is the one order routine, for (Z/n)^* and field unit groups.
 """
 
@@ -64,12 +64,6 @@ def factorint(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 7
-    while f * f <= n and f < 100_000:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 2
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

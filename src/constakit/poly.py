@@ -91,10 +91,9 @@ class Poly(Shared):
     def from_elements(cls, elems: Sequence) -> "Poly":
         if not elems:
             raise ValueError("from_elements needs at least one element")
-        ctx = elems[0].ctx
-        for e in elems:
-            if e.ctx is not ctx:
-                raise ValueError("mixed field contexts in coefficient list")
+        ctx = getattr(elems[0], "ctx", None)
+        if ctx is None or any(getattr(e, "ctx", None) is not ctx for e in elems):
+            raise ValueError("mixed field contexts in coefficient list")
         return cls(ctx, (e.rep for e in elems))
 
     # -- basic queries ---------------------------------------------------

@@ -24,6 +24,8 @@ from .zn import fourier_bias, smallest_coset
 
 def field_for_cardinality(q: int) -> FieldCtx:
     """The canonical field with q elements; q must be a prime power."""
+    if type(q) is not int:
+        raise ValueError(f"field size must be an int, got {q!r}")
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
     fac = factorint(q)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from constakit import (
     code_from_generator,
     dual_generating_set,
     elem_order,
+    field_for_cardinality,
     schur,
 )
 from constakit import cdft
@@ -35,6 +37,27 @@ def test_params_validation(f3):
         CodeParams(f3, 4, f3.zero())
     with pytest.raises(ValueError):
         CodeParams(f3, 0, f3.one())
+
+
+_F3 = build_field(3, [])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: CodeParams(_F3, True, _F3.elem(2)), "length must be an int, got True"),
+    (lambda: CodeParams(_F3, 4.0, _F3.elem(2)), "length must be an int, got 4.0"),
+    # 4.0 == 4 as a memo key, so the family of n = 4 is built first.
+    (lambda: (basis_family(_F3, 4), basis_family(_F3, 4.0)), "length must be an int, got 4.0"),
+    (lambda: build_field(3, [True, 2]),
+     "p and the extension degrees must be ints, got 3 and [True, 2]"),
+    (lambda: build_field(3, ["2"]), "p and the extension degrees must be ints, got 3 and ['2']"),
+    (lambda: build_field(3.0, []), "p and the extension degrees must be ints, got 3.0 and []"),
+    (lambda: field_for_cardinality(4.0), "field size must be an int, got 4.0"),
+], ids=["params-bool", "params-float", "family-float", "degree-bool", "degree-str", "p-float",
+        "cardinality-float"])
+def test_sizes_must_be_ints(make, message):
+    """A bool or float length, p, degree or field size is refused, not coerced."""
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        make()
 
 
 def test_params_derived_orders(f3, f2):

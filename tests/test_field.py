@@ -201,23 +201,27 @@ def test_vector_kernels_match_polynomial_arithmetic(p, degrees, table_kernel):
             assert field.mul(a, b) == ref(poly(a) * poly(b))
 
 
-def test_modulus_scan_rejects_pth_powers(monkeypatch):
-    """Every x^2 + c over GF(2^13) is a square, which the scan rejects
-    without computing a Frobenius power or a gcd; the canonical modulus is
-    x^2 + x + 1."""
+def test_modulus_scan_over_gf_2_13_tests_one_candidate(monkeypatch):
+    """The characteristic-2 trace jump starts the degree-2 scan over GF(2^13)
+    at its first irreducible, x^2 + x + 1, so Ben-Or runs once.  Every
+    x^2 + c is a square, which Ben-Or rejects at i = 1."""
     field = build_field(2, [13, 2])
     sub = field.subfield
     one = sub.one_rep
     assert field.modulus == Poly(sub, [one, one, one])
-
-    def refuse(*args):
-        raise RuntimeError("power test run")
-
-    monkeypatch.setattr(field_module, "square_and_multiply", refuse)
-    monkeypatch.setattr(field_module, "euclid", refuse)
     assert sub.cardinality == 2**13
     for c in (0, 1, 5, sub.cardinality - 1):
         assert not _is_irreducible(Poly(sub, [sub.rep_from_index(c), sub.zero_rep, one]), sub)
+
+    tested = []
+
+    def counted(f, ctx):
+        tested.append(f)
+        return _is_irreducible(f, ctx)
+
+    monkeypatch.setattr(field_module, "_is_irreducible", counted)
+    assert _first_irreducible(sub, 2) == field.modulus
+    assert tested == [field.modulus]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import math
+import random
 
 import pytest
+import sympy
 
 from constakit.numbertheory import divisors, factorint, is_prime, mult_order_mod
 
@@ -51,9 +53,21 @@ def test_factorint_of_one():
     (3000000019 * 3000000037, {3000000019: 1, 3000000037: 1}),
 ])
 def test_factorint_past_trial_division(n, expected):
-    """Factors above the trial-division bound (100,000) come from Pollard's rho:
-    prime powers and balanced semiprimes near the 2**64 cap included."""
+    """Factors past 2, 3 and 5 come from Pollard's rho, large ones included:
+    prime powers and balanced semiprimes near the 2**64 cap."""
     assert factorint(n) == expected
+
+
+def test_factorint_matches_sympy_on_small_prime_factors():
+    """Small primes reach Pollard's rho once 2, 3 and 5 are stripped: every
+    prime power r**k < 2**64 with r < 2,000, and 300 seeded products of two
+    to four primes below 100,000, factor as sympy factors them."""
+    cases = [r**k for r in sympy.primerange(2, 2_000) for k in range(1, 64) if r**k < 2**64]
+    primes = list(sympy.primerange(2, 100_000))
+    rng = random.Random(29)
+    cases += [math.prod(rng.choices(primes, k=rng.randint(2, 4))) for _ in range(300)]
+    for n in cases:
+        assert factorint(n) == sympy.factorint(n), n
 
 
 def test_divisors_ascending():

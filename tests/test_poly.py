@@ -282,6 +282,12 @@ _F3, _F4 = build_field(3, []), build_field(2, [2])
         (lambda: poly_xgcd(Poly.zero(_F3), Poly.zero(_F3)), "gcd(0, 0) is undefined"),
         (lambda: reciprocal(Poly.zero(_F3)), "zero polynomial has no reciprocal"),
         (lambda: schur([_F3.one()], [_F4.one()]), "schur vectors must share one field context"),
+        pytest.param(lambda: schur([1], [2]), "schur vectors must share one field context",
+                     id="schur-of-ints"),
+        pytest.param(lambda: Poly.from_elements([1, 2]), "mixed field contexts in coefficient list",
+                     id="from_elements-of-ints"),
+        pytest.param(lambda: Poly.from_elements([_F3.one(), 2]),
+                     "mixed field contexts in coefficient list", id="from_elements-with-an-int"),
         (lambda: factorint(0), "factorint expects a positive integer"),
         (lambda: divisors(0), "divisors expects a positive integer"),
         (lambda: mult_order_mod(3, 0), "modulus must be positive"),
