@@ -347,8 +347,8 @@ class Spectrum:
         return self.values[j]
 
     def support(self) -> ZnSet:
-        return ZnSet(
-            self.basis.n, (j for j, v in enumerate(self.values) if not v.is_zero)
+        return ZnSet._of(
+            self.basis.n, tuple(j for j, v in enumerate(self.values) if not v.is_zero)
         )
 
     def is_rational(self) -> bool:

@@ -254,7 +254,10 @@ def schur_product_gcd(
 
     The generator is gcd({g o (x^j g2) : 0 <= j < n - deg g2}, x^n - lam1*lam2)
     with g = g1*s mod (x^n - lam1) for any s coprime to (x^n - lam1)/g1
-    (s = 1 when omitted).  poly.euclid runs on bare lists and stops at gcd 1.
+    (s = 1 when omitted).  Row j is x^j * h_j, h_j = g[j : j + deg g2 + 1] o g2,
+    and x^j drops out: each partial gcd divides x^n - lam1*lam2, which has a
+    nonzero constant term, so x is a unit modulo it.  poly.euclid runs on the
+    windows h_j, of degree <= deg g2, as bare lists and stops at gcd 1.
     """
     basis = product_basis(c1, c2)
     params3 = basis.params
@@ -270,10 +273,10 @@ def schur_product_gcd(
         g = g * s
     if g.degree >= n:  # only with s given, or for the zero code
         g = g % xn1
-    g_padded, zero = g.padded(n), ctx.zero_rep
+    g2, zero = c2.generator.coeffs, ctx.zero_rep
     acc = list(params3.xn_minus_lam.coeffs)
-    for row in c2.generator.shifts(n):
-        r = list(map(ctx.mul, g_padded, row))
+    for j in range(n + 1 - len(g2)):
+        r = list(map(ctx.mul, g.coeffs[j:], g2))
         while r and r[-1] == zero:
             r.pop()
         acc = euclid(ctx, acc, r)

@@ -12,7 +12,8 @@ is the vector's own entry there, and only the free (non-pivot) columns take
 arithmetic: a full-rank echelon is built and checked closed without more.
 The product oracle feeds rref vectors in descending-degree coordinates
 (x^(n-1) first, x^0 last), so the last echelon row is the monic element
-of least degree: the generator.  It forms one Schur product per shift
+of least degree: the generator.  Its rows are the reversed generator's
+shifts, slices of one padded line.  It forms one Schur product per shift
 diagonal and takes the diagonal's other pairs as shifts of it.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from .codes import ConstaCode, PatternPoly
 from .numbertheory import divisors
-from .poly import Poly
+from .poly import Poly, reciprocal
 
 
 def _reduce(ctx, echelon, pivots, free, vec) -> list:
@@ -104,8 +105,7 @@ def oracle_schur_product(c1: ConstaCode, c2: ConstaCode) -> tuple[int, Poly]:
     ctx = p1.field
     n = p1.n
     lam3 = p1.lam * p2.lam
-    rows1 = [r[::-1] for r in generator_rows(c1)]
-    rows2 = [r[::-1] for r in generator_rows(c2)]
+    rows1, rows2 = (list(reciprocal(c.generator).shifts(n))[::-1] for c in (c1, c2))
     k1, k2 = len(rows1), len(rows2)
     if not k1 or not k2:
         return 0, Poly.monomial(ctx, n) - Poly.from_elements([lam3])

@@ -92,7 +92,7 @@ class Poly(Shared):
         if not elems:
             raise ValueError("from_elements needs at least one element")
         ctx = getattr(elems[0], "ctx", None)
-        if ctx is None or any(getattr(e, "ctx", None) is not ctx for e in elems):
+        if ctx is None or any(getattr(e, "ctx", None) is not ctx or not hasattr(e, "rep") for e in elems):
             raise ValueError("mixed field contexts in coefficient list")
         return cls(ctx, (e.rep for e in elems))
 

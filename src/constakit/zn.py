@@ -2,6 +2,8 @@
 
 ZnSet is a normalized immutable subset of Z_n.  The empty set is legal
 everywhere except where a minimum element is required (smallest_coset).
+The trusted `ZnSet._of` takes, unchecked, the tuples that sumset,
+complement, smallest_coset and a spectrum's support build sorted and distinct.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 
@@ -28,8 +31,14 @@ class ZnSet:
         if None in residues:  # a bool or a float would have reduced to a residue
             raise ValueError("ZnSet elements must be ints")
         elems = tuple(sorted(residues))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "elements", elems)
+        vars(self).update(n=n, elements=elems)
+
+    @classmethod
+    def _of(cls, n: int, elements: tuple[int, ...]) -> "ZnSet":
+        """The ZnSet of a sorted tuple of distinct residues mod n, taken as is."""
+        z = object.__new__(cls)
+        vars(z).update(n=n, elements=elements)
+        return z
 
     def __contains__(self, x: int) -> bool:
         return x % self.n in self.elements
@@ -46,7 +55,7 @@ class ZnSet:
 
     def complement(self) -> "ZnSet":
         have = set(self.elements)
-        return ZnSet(self.n, (x for x in range(self.n) if x not in have))
+        return ZnSet._of(self.n, tuple(x for x in range(self.n) if x not in have))
 
     def negate(self) -> "ZnSet":
         return ZnSet(self.n, (-x for x in self.elements))
@@ -71,7 +80,7 @@ def sumset(a: ZnSet, b: ZnSet) -> ZnSet:
     for x in a.elements:
         for y in b.elements:
             hit[(x + y) % n] = True
-    return ZnSet(n, (i for i, h in enumerate(hit) if h))
+    return ZnSet._of(n, tuple(compress(range(n), hit)))
 
 
 def iterated_sumset(a: ZnSet, t: int) -> ZnSet:
@@ -96,7 +105,7 @@ def smallest_coset(a: ZnSet) -> tuple[int, ZnSet]:
     d = n
     for x in a.elements[1:]:
         d = math.gcd(d, x - base)
-    return base, ZnSet(n, range(0, n, d))
+    return base, ZnSet._of(n, tuple(range(0, n, d)))
 
 
 def fourier_bias(a: ZnSet) -> float:

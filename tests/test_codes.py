@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import pytest
@@ -462,7 +463,8 @@ def test_gcd_method_refuses_a_non_polynomial_multiplier(negacyclic_example, s):
 def test_gcd_product_of_full_codes_takes_one_gcd(f3, hamming_example, monkeypatch):
     """Full x full: the first row is the constant 1, so Euclid takes one
     division, x^n - 1 by 1, and stops at gcd 1.  The Hamming square reaches
-    gcd 1 at its second row, g o x*g = x, and reads none of the rows after.
+    gcd 1 at its second row, whose window product g[1:] o g is 1 (the row
+    g o x*g = x without its x), and reads none of the rows after.
     Each product runs once first, so the code memo answers code_from_generator
     and only the gcd route's own divisions are counted."""
     calls = []
@@ -480,8 +482,8 @@ def test_gcd_product_of_full_codes_takes_one_gcd(f3, hamming_example, monkeypatc
     assert calls == [(list(full.params.xn_minus_lam.coeffs), [f3.one_rep])]
     calls.clear()
     assert schur_product_gcd(hamming_example, hamming_example).is_full
-    # x^7 - 1 by g leaves 0; then g by x leaves 1, and x by 1 leaves 0.
-    assert [len(b) - 1 for _, b in calls] == [3, 1, 0]
+    # x^7 - 1 by g leaves 0; then g by 1 leaves 0.
+    assert [len(b) - 1 for _, b in calls] == [3, 0]
 
 
 def test_gcd_product_reduces_g_times_s_past_the_length(f3, f5, negacyclic_example):
@@ -503,6 +505,32 @@ def test_gcd_product_reduces_g_times_s_past_the_length(f3, f5, negacyclic_exampl
             assert by_gcd == schur_product_sumset(c1, c2)
             assert (by_gcd.dim, by_gcd.generator) == oracle_schur_product(c1, c2)
 
+
+@pytest.mark.parametrize("p, n, lam_idx", [(2, 63, 1), (2, 255, 1), (3, 80, 2)])
+def test_gcd_product_matches_sumset_where_windows_slide_far(p, n, lam_idx):
+    """A one-orbit c1 and a large c2 whose sumset with G1 misses an index h:
+    c1 o c2 reads every one of c2's many rows, as the product is not full
+    and Euclid never stops at gcd 1.  With s = x^m, g = x^m * g1 has degree
+    n - 1 and no coefficient below x^m, so each window g[j : j + deg g2 + 1]
+    with j + deg g2 < m is zero; in c2 o c2 the gcd is then settled by rows
+    j >= n - 1 - 2 deg g2, which is 126 or more at n = 255.  Seeded unions
+    of orbits."""
+    rng = random.Random(p * 1000 + n)
+    field = build_field(p, [])
+    basis = basis_family(field, n).basis_for_lambda(field.elem(lam_idx))
+    orbits = basis.orbits()
+    for _ in range(3):
+        small = rng.choice(orbits[1:])
+        h = rng.randrange(n)
+        holes = {(h - j) % n for j in small}
+        large = [j for orb in orbits if holes.isdisjoint(orb) for j in orb]
+        c1, c2 = (code_from_generating_set(basis.params, basis, g) for g in (small, large))
+        assert c2.dim >= n // 5
+        assert h not in schur_product_sumset(c1, c2).gen_set
+        for a, b in ((c1, c2), (c2, c1), (c2, c2)):
+            expected = schur_product_sumset(a, b)
+            assert schur_product_gcd(a, b) == expected
+            assert schur_product_gcd(a, b, Poly.monomial(field, n - 1 - a.generator.degree)) == expected
 
 def _orbit_grid():
     for p, degs in ((2, []), (3, []), (2, [2]), (5, [])):

@@ -288,6 +288,8 @@ _F3, _F4 = build_field(3, []), build_field(2, [2])
                      id="from_elements-of-ints"),
         pytest.param(lambda: Poly.from_elements([_F3.one(), 2]),
                      "mixed field contexts in coefficient list", id="from_elements-with-an-int"),
+        pytest.param(lambda: Poly.from_elements([Poly.x(_F3)]),
+                     "mixed field contexts in coefficient list", id="from_elements-of-a-poly"),
         (lambda: factorint(0), "factorint expects a positive integer"),
         (lambda: divisors(0), "divisors expects a positive integer"),
         (lambda: mult_order_mod(3, 0), "modulus must be positive"),

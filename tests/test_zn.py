@@ -5,10 +5,12 @@ import re
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from constakit import (
-    CodeParams, ZnSet, build_field, code_from_generating_set, fourier_bias, iterated_sumset,
-    smallest_coset, sumset,
+    CodeParams, Spectrum, ZnSet, basis_family, build_field, code_from_generating_set,
+    fourier_bias, iterated_sumset, smallest_coset, sumset,
 )
 
 _F2 = build_field(2, [])
@@ -120,6 +122,46 @@ def test_smallest_coset_is_minimal():
 def test_smallest_coset_rejects_empty():
     with pytest.raises(ValueError):
         smallest_coset(ZnSet(4, []))
+
+
+def _public(result: ZnSet) -> ZnSet:
+    """What the checking constructor makes of a result's own elements."""
+    return ZnSet(result.n, list(result))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_trusted_producers_build_what_the_public_constructor_builds(data):
+    """sumset, iterated_sumset, complement and smallest_coset hand ZnSet._of
+    a tuple they built reduced, sorted and distinct; each result equals the
+    checking constructor's build of its own elements, tuple for tuple."""
+    n = data.draw(st.integers(1, 40))
+    elements = st.lists(st.integers(-2 * n, 2 * n), max_size=12)
+    a, b = ZnSet(n, data.draw(elements)), ZnSet(n, data.draw(elements))
+    results = [sumset(a, b), iterated_sumset(a, data.draw(st.integers(1, 4))), a.complement()]
+    if a.elements:
+        results.append(smallest_coset(a)[1])
+    for result in results:
+        public = _public(result)
+        assert result.n == n and type(result.elements) is tuple
+        assert result.elements == public.elements and result == public
+        assert hash(result) == hash(public)
+
+
+_SPECTRUM_BASES = [basis_family(build_field(p, []), n).basis_for_exponent(0)
+                   for p, n in ((2, 7), (2, 31), (3, 40))]
+
+
+@pytest.mark.parametrize("basis", _SPECTRUM_BASES, ids=["F2-7", "F2-31", "F3-40"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_spectrum_support_builds_what_the_public_constructor_builds(basis, data):
+    spl = basis.splitting
+    value = st.one_of(st.just(0), st.integers(1, spl.cardinality - 1)).map(spl.elem)
+    values = data.draw(st.lists(value, min_size=basis.n, max_size=basis.n))
+    support = Spectrum(basis, tuple(values)).support()
+    assert support.elements == _public(support).elements
+    assert support.elements == tuple(j for j, v in enumerate(values) if not v.is_zero)
 
 
 def test_fourier_bias_extremes():
