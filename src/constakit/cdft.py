@@ -348,7 +348,7 @@ class Spectrum:
 
     def support(self) -> ZnSet:
         return ZnSet._of(
-            self.basis.n, tuple(j for j, v in enumerate(self.values) if not v.is_zero)
+            self.basis.n, tuple([j for j, v in enumerate(self.values) if not v.is_zero])
         )
 
     def is_rational(self) -> bool:

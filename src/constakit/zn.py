@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable
 
 
@@ -31,13 +30,15 @@ class ZnSet:
         if None in residues:  # a bool or a float would have reduced to a residue
             raise ValueError("ZnSet elements must be ints")
         elems = tuple(sorted(residues))
-        vars(self).update(n=n, elements=elems)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "elements", elems)
 
     @classmethod
     def _of(cls, n: int, elements: tuple[int, ...]) -> "ZnSet":
         """The ZnSet of a sorted tuple of distinct residues mod n, taken as is."""
         z = object.__new__(cls)
-        vars(z).update(n=n, elements=elements)
+        object.__setattr__(z, "n", n)
+        object.__setattr__(z, "elements", elements)
         return z
 
     def __contains__(self, x: int) -> bool:
@@ -55,7 +56,7 @@ class ZnSet:
 
     def complement(self) -> "ZnSet":
         have = set(self.elements)
-        return ZnSet._of(self.n, tuple(x for x in range(self.n) if x not in have))
+        return ZnSet._of(self.n, tuple([x for x in range(self.n) if x not in have]))
 
     def negate(self) -> "ZnSet":
         return ZnSet(self.n, (-x for x in self.elements))
@@ -80,7 +81,7 @@ def sumset(a: ZnSet, b: ZnSet) -> ZnSet:
     for x in a.elements:
         for y in b.elements:
             hit[(x + y) % n] = True
-    return ZnSet._of(n, tuple(compress(range(n), hit)))
+    return ZnSet._of(n, tuple([i for i, h in enumerate(hit) if h]))
 
 
 def iterated_sumset(a: ZnSet, t: int) -> ZnSet:
