@@ -35,7 +35,8 @@ class ZnSet:
 
     @classmethod
     def _of(cls, n: int, elements: tuple[int, ...]) -> "ZnSet":
-        """The ZnSet of a sorted tuple of distinct residues mod n, taken as is."""
+        """The ZnSet of a sorted tuple of distinct residues mod n, taken as is.
+        Producers build it from a list: a tuple grown from a generator keeps spare room."""
         z = object.__new__(cls)
         object.__setattr__(z, "n", n)
         object.__setattr__(z, "elements", elements)

@@ -532,6 +532,7 @@ def test_gcd_product_matches_sumset_where_windows_slide_far(p, n, lam_idx):
             assert schur_product_gcd(a, b) == expected
             assert schur_product_gcd(a, b, Poly.monomial(field, n - 1 - a.generator.degree)) == expected
 
+
 def _orbit_grid():
     for p, degs in ((2, []), (3, []), (2, [2]), (5, [])):
         field = build_field(p, degs)
