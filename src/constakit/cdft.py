@@ -23,15 +23,16 @@ and an output is unpacked and reduced once: slots m ... 2m-2 mod p,
 folded into the low m by the level's rows y^(m+i) mod its modulus, then
 each low slot mod p.  A slot of a sum of n packed products is at most
 n*m*(p-1)^2 and the fold adds less than m*(p-1)^2, so bits, one past the
-bit length of n*m*(p-1)^2, leaves no carry.  A tabulated splitting field
-takes the log-domain sum on its exp/log/Zech arrays: term c of output r
-has log u_r*v_c*log(delta) + log(x_c) + log(scale) mod Q - 1, and the
-sum's log a steps a <- a + Zech[b - a], Zech[d] = log(1 + g^d), one
-lookup per term.  That step is the field's own addition, so the sum is
-exact; Zech = -1 marks a sum that cancelled, and the next term restarts
-it.  Prime splitting fields and vector levels over a tabulated or vector
-level take the term loop: one field multiplication and one field
-addition per term.
+bit length of n*m*(p-1)^2, leaves no carry; BasisFamily.packed fixes
+bits and the slot layout once per family, and its unpack does the
+reduction.  A tabulated splitting field takes the log-domain sum on its
+exp/log/Zech arrays: term c of output r has log u_r*v_c*log(delta) +
+log(x_c) + log(scale) mod Q - 1, and the sum's log a steps a <- a +
+Zech[b - a], Zech[d] = log(1 + g^d), one lookup per term.  That step is
+the field's own addition, so the sum is exact; Zech = -1 marks a sum
+that cancelled, and the next term restarts it.  Prime splitting fields
+and vector levels over a tabulated or vector level take the term loop:
+one field multiplication and one field addition per term.
 """
 
 from __future__ import annotations
@@ -215,8 +216,8 @@ class RootBasis(Shared):
 
         ctx is the splitting field or the level just below it, and scale is
         an integer mod p.  The path is the module docstring's.  Packed: x_c
-        is packed (a residue mod p below the splitting field), and the
-        no-carry bound on its slots sets BasisFamily.packed's bits.  Log
+        is packed (a residue mod p below the splitting field), and each
+        output is BasisFamily.packed's unpack of one packed sum.  Log
         domain: x_c and scale are indices in the splitting field too, so
         their logs are read directly.  Term loop: one add and one mul per
         term, or a componentwise scale when x_c lies in the sublevel.
@@ -226,20 +227,11 @@ class RootBasis(Shared):
         terms = [(v, x) for v, x in zip(vs, reps) if x != ctx.zero_rep]
         out = []
         if spl.kind == "vector" and spl.subfield.kind == "prime":
-            p, bits, pack, power, red = spl.p, *fam.packed
-            slot, top = (1 << bits) - 1, bits * spl.step_degree
+            p, (pack, power, unpack) = spl.p, fam.packed
             terms = [(v, pack([c * scale % p for c in x]) if ctx is spl else x * scale % p)
                      for v, x in terms]
-            for u in us:
-                acc = sum(x * power(u * v % e) for v, x in terms)
-                high, acc = acc >> top, acc & ((1 << top) - 1)
-                for row in red:
-                    if not high:
-                        break
-                    acc += (high & slot) % p * row
-                    high >>= bits
-                out.append(FieldElem(spl, tuple((acc >> s & slot) % p for s in range(0, top, bits))))
-            return tuple(out)
+            return tuple(FieldElem(spl, unpack(sum(x * power(u * v % e) for v, x in terms)))
+                         for u in us)
         if spl.kind == "tabulated":
             exp, log, zech = spl._logs
             n1, ell = spl.cardinality - 1, log[fam.delta.rep]
@@ -427,20 +419,35 @@ class BasisFamily(Shared):
 
     @cached_property
     def packed(self):
-        """(bits, pack, power, red) for a vector splitting field over F_p.
+        """(pack, power, unpack) for a vector splitting field over F_p.
 
         pack(rep) = sum_i rep[i] * 2^(bits*i); power(k) is power_rep(k)
-        packed on first use and memoized; red is the level's _red packed.
-        bits is one past the bit length of n*m*(p-1)^2 (see the module
-        docstring), so no slot of a packed sum carries into the next.
+        packed on first use and memoized.  unpack(acc) is the rep of a packed
+        sum of at most n products: its high slots mod p, folded into the low
+        m by the level's _red rows packed, then each low slot mod p.  bits is
+        one past the bit length of n*m*(p-1)^2 (see the module docstring), so
+        no slot of such a sum, folded or not, carries into the next.
         """
         spl, dp = self.splitting, self.power_rep
-        bits = (self.n * spl.step_degree * (spl.p - 1) ** 2).bit_length() + 1
+        p, m = spl.p, spl.step_degree
+        bits = (self.n * m * (p - 1) ** 2).bit_length() + 1
+        slot, top = (1 << bits) - 1, bits * m
 
         def pack(rep):
             return sum(c << bits * i for i, c in enumerate(rep))
 
-        return bits, pack, cache(lambda k: pack(dp(k))), [pack(row) for row in spl._red]
+        red = [pack(row) for row in spl._red]
+
+        def unpack(acc):
+            high, acc = acc >> top, acc & ((1 << top) - 1)
+            for row in red:
+                if not high:
+                    break
+                acc += (high & slot) % p * row
+                high >>= bits
+            return tuple((acc >> s & slot) % p for s in range(0, top, bits))
+
+        return pack, cache(lambda k: pack(dp(k))), unpack
 
     def delta_pow(self, k: int) -> FieldElem:
         return FieldElem(self.splitting, self.power_rep(k % self.delta_order))

@@ -79,10 +79,7 @@ def code_from_generator(
     if not g.divides(params.xn_minus_lam):
         lam = params.field.rep_to_str(params.lam.rep)
         raise ValueError(f"{g!r} does not divide x^{params.n} - ({lam})")
-    if g.degree == params.n:
-        gen_set = ZnSet(params.n)
-    else:
-        gen_set = basis.forward_poly(g).support()
+    gen_set = basis.forward_poly(g % params.xn_minus_lam).support()  # the zero code's g reduces to 0
     if len(gen_set) != params.n - g.degree:
         raise AssertionError("support size disagrees with degree; basis is broken")
     return basis._codes.setdefault(g, ConstaCode(params, g, basis, gen_set))

@@ -44,6 +44,10 @@ Orders.  numbertheory.order_from_multiple is the one order routine: elem_order
 strips primes from Q - 1 with it, and find_element_of_order and each tabulated
 level's generator scan take the first candidate whose order it finds is e.
 
+Construction.  FieldCtx's constructor sets what every level shares (p,
+subfield, step_degree, degrees, levels, cardinality); build_field's
+_make_prime and _make_extension add the modulus, kind, reps, index maps and ops.
+
 Public entry points: build_field, FieldCtx, FieldElem, elem_order,
 find_element_of_order, schur.
 """
@@ -188,22 +192,20 @@ def schur(u: Sequence, v: Sequence) -> tuple:
 class FieldCtx(Shared):
     """One level of a field tower.  Immutable after construction."""
 
-    def __init__(self, *, _token=None):
+    def __init__(self, p=None, sub=None, degree=0, *, _token=None):
         if _token is not _CTX_TOKEN:
             raise TypeError("use build_field() to construct field contexts")
+        self.p, self.subfield, self.step_degree = p, sub, degree
+        self.degrees = sub.degrees + (degree,) if sub else ()
+        self.levels = (self,) + sub.levels if sub else (self,)
+        self.cardinality = sub.cardinality**degree if sub else p
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def _make_prime(p: int) -> "FieldCtx":
-        ctx = FieldCtx(_token=_CTX_TOKEN)
-        ctx.p = p
-        ctx.degrees = ()
-        ctx.subfield = None
-        ctx.levels = (ctx,)
+        ctx = FieldCtx(p, _token=_CTX_TOKEN)
         ctx._index_of = ctx._rep_of = int  # the identity on int reps
-        ctx.step_degree = 0
-        ctx.cardinality = p
         ctx.modulus = None
         ctx.kind = "prime"
         ctx.zero_rep = 0
@@ -230,13 +232,7 @@ class FieldCtx(Shared):
 
     @staticmethod
     def _make_extension(sub: "FieldCtx", degree: int) -> "FieldCtx":
-        ctx = FieldCtx(_token=_CTX_TOKEN)
-        ctx.p = sub.p
-        ctx.degrees = sub.degrees + (degree,)
-        ctx.subfield = sub
-        ctx.levels = (ctx,) + sub.levels
-        ctx.step_degree = degree
-        ctx.cardinality = sub.cardinality**degree
+        ctx = FieldCtx(sub.p, sub, degree, _token=_CTX_TOKEN)
         ctx.modulus = _first_irreducible(sub, degree)
 
         d = degree

@@ -12,6 +12,7 @@ the first counterexample in full detail.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterable
 
 from . import codes as cd
@@ -39,15 +40,15 @@ class _Recorder:
     """Counts attempts and failures per check, keeping the first failure."""
 
     def __init__(self):
-        self.checks: dict[str, int] = {}
-        self.failed: dict[str, int] = {}
+        self.checks: Counter[str] = Counter()
+        self.failed: Counter[str] = Counter()
         self.first = None
 
     def record(self, name: str, ok: bool, context, **extra):
         """Count one check; context() builds the details of a first failure."""
-        self.checks[name] = self.checks.get(name, 0) + 1
+        self.checks[name] += 1
         if not ok:
-            self.failed[name] = self.failed.get(name, 0) + 1
+            self.failed[name] += 1
             if self.first is None:
                 self.first = {"check": name, **context(), **extra}
 
@@ -135,39 +136,6 @@ def _check_single_code(c: cd.ConstaCode, rec: _Recorder, ctxinfo: dict) -> None:
             rec.record("factored_power", ok, info, i=i)
 
 
-def _check_pair(
-    c1: cd.ConstaCode,
-    c2: cd.ConstaCode,
-    key: tuple[int, int],
-    oracle_cache: dict,
-    rec: _Recorder,
-    ctxinfo: dict,
-    corrupt_this: bool,
-) -> None:
-    info = _context(ctxinfo, g1=c1, g2=c2)
-    by_sum = cd.schur_product_sumset(c1, c2)
-    by_gcd = cd.schur_product_gcd(c1, c2)
-
-    if key not in oracle_cache:
-        oracle_cache[key] = oc.oracle_schur_product(c1, c2)
-    oracle_dim, oracle_gen = oracle_cache[key]
-
-    sum_gen = by_sum.generator
-    if corrupt_this:
-        sum_gen = sum_gen + Poly.one(c1.params.field)
-
-    rec.record("product_methods_agree", sum_gen == by_gcd.generator == oracle_gen, info)
-    rec.record("product_dim", by_sum.dim == by_gcd.dim == oracle_dim, info)
-    rec.record("product_sets_agree", by_sum.gen_set == by_gcd.gen_set, info)
-
-    if not c1.is_zero and not c2.is_zero:
-        rec.record(
-            "product_pattern",
-            cd.pattern_of_product(c1, c2) == cd.pattern_polynomial(by_sum),
-            info,
-        )
-
-
 def run_grid_verification(
     qs: Iterable[int] = (2, 3, 5),
     n_max: int = 10,
@@ -178,9 +146,10 @@ def run_grid_verification(
     corrupt=True deliberately damages the first product comparison so
     the negative path (failure counting, exit codes) can be exercised.
     """
-    qs = sorted(set(int(q) for q in qs))
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    qs = list(qs)
+    if any(type(x) is not int for x in (*qs, n_max)) or n_max < 1:  # int(2.5) would run q = 2
+        raise ValueError(f"field sizes must be ints and n_max an int >= 1, got {qs!r} and {n_max!r}")
+    qs = sorted(set(qs))
     rec = _Recorder()
     points = 0
     codes_checked = 0
@@ -212,9 +181,23 @@ def run_grid_verification(
                 oracle_cache: dict = {}
                 for i, c1 in enumerate(all_codes):
                     for j, c2 in enumerate(all_codes):
-                        corrupt_this = corrupt and pairs_checked == 0
+                        info = _context(ctxinfo, g1=c1, g2=c2)
+                        by_sum = cd.schur_product_sumset(c1, c2)
+                        by_gcd = cd.schur_product_gcd(c1, c2)
                         key = (min(i, j), max(i, j))
-                        _check_pair(c1, c2, key, oracle_cache, rec, ctxinfo, corrupt_this)
+                        if key not in oracle_cache:
+                            oracle_cache[key] = oc.oracle_schur_product(c1, c2)
+                        oracle_dim, oracle_gen = oracle_cache[key]
+                        sum_gen = by_sum.generator
+                        if corrupt and pairs_checked == 0:
+                            sum_gen = sum_gen + Poly.one(field)
+                        ok = sum_gen == by_gcd.generator == oracle_gen
+                        rec.record("product_methods_agree", ok, info)
+                        rec.record("product_dim", by_sum.dim == by_gcd.dim == oracle_dim, info)
+                        rec.record("product_sets_agree", by_sum.gen_set == by_gcd.gen_set, info)
+                        if not c1.is_zero and not c2.is_zero:
+                            ok = cd.pattern_of_product(c1, c2) == cd.pattern_polynomial(by_sum)
+                            rec.record("product_pattern", ok, info)
                         pairs_checked += 1
 
     return {

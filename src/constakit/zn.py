@@ -69,15 +69,11 @@ class ZnSet:
         return f"ZnSet({self.n}, {{{', '.join(map(str, self.elements))}}})"
 
 
-def _check_same_modulus(a: ZnSet, b: ZnSet) -> None:
-    if a.n != b.n:
-        raise ValueError(f"mixed moduli {a.n} and {b.n}")
-
-
 def sumset(a: ZnSet, b: ZnSet) -> ZnSet:
     """{x + y : x in a, y in b} in Z_n."""
-    _check_same_modulus(a, b)
     n = a.n
+    if b.n != n:
+        raise ValueError(f"mixed moduli {n} and {b.n}")
     hit = [False] * n
     for x in a.elements:
         for y in b.elements:

@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from constakit import CodeParams, Poly, build_basis, build_field
-from constakit.cdft import EAGER_POWER_LIMIT
+from constakit.cdft import EAGER_POWER_LIMIT, basis_family
 
 
 def _basis(p, n, lam, degrees=()):
@@ -90,6 +90,25 @@ def test_packed_widest_slots_with_lazy_delta_powers():
         a = [field.elem(rng.randrange(p)) for _ in range(2)]
         spectrum = _check_against_horner(basis, a, range(2))
         assert list(basis.inverse(spectrum)) == _lifted(basis, a)
+
+
+def test_unpack_at_the_no_carry_bound():
+    """Over F_31 at n = 3 the family splits in GF(31^3): m = 3 and every slot
+    of a packed sum is at most M = n*m*(p - 1)^2 = 8100, a 13-bit value.  With
+    the low slots at M and the high slots at 8090, the largest value <= M
+    that is -1 mod 31, the fold adds 30 times each _red row to slots already
+    at M, which carries unless bits leaves one spare bit past M's bit length.
+    unpack must agree with the same slots reduced by Poly % modulus."""
+    fam = basis_family(build_field(31, []), 3)
+    spl, m = fam.splitting, fam.splitting.step_degree
+    assert (spl.cardinality, spl.kind, spl.subfield.kind) == (31**3, "vector", "prime")
+    top = fam.n * m * 30**2
+    high = top - top % 31 - 1
+    assert (top, high, high % 31) == (8100, 8090, 30)
+    pack, _, unpack = fam.packed
+    slots = [top] * m + [high] * (m - 1)
+    direct = Poly(spl.subfield, [c % 31 for c in slots]) % spl.modulus
+    assert unpack(pack(slots)) == direct.padded(m)
 
 
 def test_packed_forward_at_length_1001_matches_horner():

@@ -6,6 +6,7 @@ import pytest
 from constakit import build_field, field_for_cardinality, run_grid_verification
 from constakit import codes as cd
 from constakit import oracle as oc
+from constakit import verify as vf
 from constakit.cli import main
 
 
@@ -63,11 +64,17 @@ def test_corruption_hook_counts_failures():
     assert {"q", "n", "lam", "g1", "g2"} <= set(first)
 
 
-def test_rejects_bad_grid():
+def test_rejects_bad_grid(monkeypatch):
     with pytest.raises(ValueError):
         run_grid_verification(qs=(6,), n_max=3)
     with pytest.raises(ValueError):
         run_grid_verification(qs=(2,), n_max=0)
+    # int(2.5) would run the q = 2 grid, and range(1, 4.0) would raise
+    # TypeError; both are refused before any field is built.
+    monkeypatch.setattr(vf, "field_for_cardinality", None)
+    for qs, n_max in (((2.5,), 3), ((2,), 3.0)):
+        with pytest.raises(ValueError, match="must be ints"):
+            run_grid_verification(qs=qs, n_max=n_max)
 
 
 @pytest.mark.parametrize(
