@@ -230,8 +230,9 @@ class RootBasis(Shared):
             p, (pack, power, unpack) = spl.p, fam.packed
             terms = [(v, pack([c * scale % p for c in x]) if ctx is spl else x * scale % p)
                      for v, x in terms]
-            return tuple(FieldElem(spl, unpack(sum(x * power(u * v % e) for v, x in terms)))
-                         for u in us)
+            # From a list: tuple() over a generator here raised the roundtrip workload's peak RSS.
+            return tuple([FieldElem(spl, unpack(sum(x * power(u * v % e) for v, x in terms)))
+                          for u in us])
         if spl.kind == "tabulated":
             exp, log, zech = spl._logs
             n1, ell = spl.cardinality - 1, log[fam.delta.rep]
