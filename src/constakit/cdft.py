@@ -38,13 +38,12 @@ one field multiplication and one field addition per term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cache, cached_property, partial
-from typing import Sequence
 
 from .field import DEFAULT_MAX_CARDINALITY, FieldCtx, FieldElem, elem_order, find_element_of_order
 from .numbertheory import mult_order_mod
-from .poly import Poly, Shared
+from .poly import Poly, Shared, Value
 from .zn import ZnSet
 
 # Powers of delta are precomputed up to this group order; beyond it they
@@ -63,8 +62,7 @@ def _check_length(n: int, q: int) -> None:
         raise ValueError(f"length {n} shares a factor with q = {q}")
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(Value, fields=("field", "n", "lam")):
     """Ambient data (field, length, constant) for one constacyclic setting.
 
     Equality, hashing and repr look only at the triple itself.  The derived
@@ -72,16 +70,15 @@ class CodeParams:
     x^n - lam, are computed on first use and kept on the instance.
     """
 
-    field: FieldCtx
-    n: int
-    lam: FieldElem
-
-    def __post_init__(self):
-        if not isinstance(self.lam, FieldElem) or self.lam.ctx is not self.field:
+    def __init__(self, field: FieldCtx, n: int, lam: FieldElem):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "lam", lam)
+        if not isinstance(lam, FieldElem) or lam.ctx is not field:
             raise ValueError("lam must be an element of the given field")
-        if self.lam.is_zero:
+        if lam.is_zero:
             raise ValueError("lam must be a unit")
-        _check_length(self.n, self.q)
+        _check_length(n, field.cardinality)
 
     @property
     def q(self) -> int:
@@ -326,12 +323,12 @@ class RootBasis(Shared):
         )
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Value, fields=("basis", "values")):
     """Values of a vector at the n points of a RootBasis, in point order."""
 
-    basis: RootBasis
-    values: tuple[FieldElem, ...]
+    def __init__(self, basis: RootBasis, values: tuple[FieldElem, ...]):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import sys
-from typing import NamedTuple
 
 from . import codes as cd
 from .cdft import CodeParams, build_basis
@@ -31,14 +30,11 @@ from .poly import Poly
 from .verify import field_for_cardinality, run_grid_verification
 
 
-class Report(NamedTuple):
+class Report:
     """One command's result: its exit status and every rendering of it."""
 
-    doc: dict
-    status: int
-    header: list
-    rows: list
-    lines: list
+    def __init__(self, doc: dict, status: int, header: list, rows: list, lines: list):
+        self.doc, self.status, self.header, self.rows, self.lines = doc, status, header, rows, lines
 
 
 # -- element and polynomial marshalling -----------------------------------

@@ -14,24 +14,24 @@ of different codes live on a common index line and can be added.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .cdft import CodeParams, RootBasis, basis_family
 from .field import FieldElem
 from .numbertheory import is_prime
-from .poly import Poly, euclid, poly_gcd, reciprocal
+from .poly import Poly, Value, euclid, poly_gcd, reciprocal
 from .zn import ZnSet, iterated_sumset, smallest_coset, sumset
 
 
-@dataclass(frozen=True)
-class ConstaCode:
+class ConstaCode(Value, fields=("params", "generator", "basis", "gen_set", "_pattern"),
+                 compare=("params", "generator")):
     """An immutable constacyclic code, identified by (params, generator)."""
 
-    params: CodeParams
-    generator: Poly
-    basis: RootBasis = field(compare=False)
-    gen_set: ZnSet = field(compare=False)
-    _pattern: PatternPoly | None = field(default=None, init=False, compare=False)
+    def __init__(self, params: CodeParams, generator: Poly, basis: RootBasis, gen_set: ZnSet):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "gen_set", gen_set)
+        object.__setattr__(self, "_pattern", None)
 
     @property
     def dim(self) -> int:
@@ -140,20 +140,18 @@ def dual_generating_set(c: ConstaCode) -> tuple[ZnSet, ConstaCode]:
 # -- pattern polynomials and cores ---------------------------------------
 
 
-@dataclass(frozen=True)
-class PatternPoly:
+class PatternPoly(Value, fields=("n", "v", "alpha")):
     """p(x) = sum_{i < n/v} alpha^i x^{iv}; trivial (p = 1) when v = n."""
 
-    n: int
-    v: int
-    alpha: FieldElem
-
-    def __post_init__(self):
-        if self.v < 1 or self.n % self.v:
-            raise ValueError(f"{self.v} does not divide the length {self.n}")
-        if self.alpha.is_zero:
+    def __init__(self, n: int, v: int, alpha: FieldElem):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "alpha", alpha)
+        if v < 1 or n % v:
+            raise ValueError(f"{v} does not divide the length {n}")
+        if alpha.is_zero:
             raise ValueError("alpha must be nonzero")
-        if self.v == self.n and self.alpha != self.alpha.ctx.one():
+        if v == n and alpha != alpha.ctx.one():
             raise ValueError("the trivial pattern is normalized to alpha = 1")
 
     @property

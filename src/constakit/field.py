@@ -37,12 +37,13 @@ each level below) and two index maps, _index_of and _rep_of (the identity
 where reps are indices); lift, project and the format methods map through
 them, so embedding small-field scalars is one digit and projecting to a
 subfield K is an index check (the element lies in K iff its index is below
-|K|).  FieldElem, a frozen dataclass, sets its two slots through their
+|K|).  FieldElem, a frozen poly.Value, sets its two slots through their
 descriptors (poly.slot_setters), at a plain object's cost.
 
-Orders.  numbertheory.order_from_multiple is the one order routine: elem_order
-strips primes from Q - 1 with it, and find_element_of_order and each tabulated
-level's generator scan take the first candidate whose order it finds is e.
+Orders.  elem_order strips primes from Q - 1 with numbertheory.order_from_multiple.
+find_element_of_order and each tabulated level's generator scan need only
+"order exactly e" of candidates with x**e = 1: they factor e once per scan and
+take the first x with x**(e/r) != 1 for every prime r of e.
 
 Construction.  FieldCtx's constructor sets what every level shares (p,
 subfield, step_degree, degrees, levels, cardinality); build_field's
@@ -56,14 +57,13 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import partial, reduce
 from itertools import accumulate, repeat
-from typing import Iterable, Iterator, Sequence
 
 from . import numbertheory as nt
 from .poly import (
-    Poly, Shared, convolve, euclid, format_terms, poly_xgcd, slot_setters, square_and_multiply,
+    Poly, Shared, Value, convolve, euclid, format_terms, poly_xgcd, slot_setters, square_and_multiply,
 )
 
 #: Levels with at most this many elements use int indices as their
@@ -94,13 +94,10 @@ def _var_name(level: int) -> str:
     return f"t{level}"
 
 
-@dataclass(frozen=True, repr=False, init=False)
-class FieldElem(Shared):
+class FieldElem(Shared, Value, fields=("ctx", "rep")):
     """An element of a FieldCtx: an immutable rep, equal by (context identity, rep)."""
 
     __slots__ = ("ctx", "rep")
-    ctx: FieldCtx
-    rep: object
 
     def __init__(self, ctx: FieldCtx, rep):
         _set_ctx(self, ctx)
@@ -387,7 +384,8 @@ def _install_log_ops(ctx: FieldCtx, vec_mul) -> None:
     n1 = Q - 1
     power = partial(square_and_multiply, vec_mul, one)
     units = map(vec_from_index, range(1, Q))
-    g = next(x for x in units if nt.order_from_multiple(x, n1, power, one) == n1)
+    primes = nt.factorint(n1)  # order n1 exactly: x**(n1/r) != one for each prime r
+    g = next(x for x in units if all(power(x, n1 // r) != one for r in primes))
     D = math.prod(ctx.degrees)
     L, P = D // 2, p ** (D // 2)
 
@@ -566,15 +564,19 @@ def _is_irreducible(f: Poly, sub: FieldCtx) -> bool:
     The powers are tuples mod f.  X = x**S takes square-and-multiply; after
     it, u -> u**S being F_S-linear, x**(S**i) = sum_k c_k X**k for
     x**(S**(i-1)) = sum_k c_k x**k (von zur Gathen & Shoup 1992), on the
-    powers X**k, built once f survives i = 1.
+    powers X**k, built once f survives i = 1.  While kS <= 2d - 2, X**k and
+    X itself are read off: x**j is a unit vector for j < d and the
+    reduction row j - d after that.
     """
-    zero, d = sub.zero_rep, f.degree
-    _, (add, _, mul, scale) = _modulus_ops(sub, f)
+    zero, d, S = sub.zero_rep, f.degree, sub.cardinality
+    red, (add, _, mul, scale) = _modulus_ops(sub, f)
     one = (sub.one_rep,) + (zero,) * (d - 1)
-    frob = X = square_and_multiply(mul, one, (zero,) + one[:-1], sub.cardinality)
+    x_pow = [one[-j:] + one[:-j] for j in range(d)] + list(red)  # x**j mod f, j <= 2d - 2
+    frob = X = x_pow[S] if S < len(x_pow) else square_and_multiply(mul, one, x_pow[1], S)
     for i in range(d // 2):
         if i == 1:  # X**k for k < d; mul's first factor is the sparser one
-            powers = list(accumulate(repeat(X, d - 1), lambda u, v: mul(v, u), initial=one))
+            powers = list(accumulate(
+                range(S, d * S, S), lambda u, k: x_pow[k] if k < len(x_pow) else mul(X, u), initial=one))
         if i:  # frob passed the gcd, so it is a unit mod f and some c_k != 0
             frob = reduce(add, [scale(P, c) for P, c in zip(powers, frob) if c != zero])
         h = list(frob)
@@ -681,11 +683,11 @@ def find_element_of_order(ctx: FieldCtx, e: int) -> FieldElem:
         raise ValueError("order must be >= 1")
     if (Q - 1) % e != 0:
         raise ValueError(f"no element of order {e}: it does not divide {Q - 1}")
-    if Q <= SCAN_LIMIT:  # order_from_multiple needs x**e = one
+    if Q <= SCAN_LIMIT:  # the order test below needs x**e = one
         candidates = (x for x in map(ctx.rep_from_index, range(1, Q)) if power(x, e) == one)
     else:
         S = ctx.subfield.cardinality if ctx.subfield else 1
         hs = map(ctx.rep_from_index, range(1 if (S - 1) % e == 0 else S, Q))
         candidates = (power(h, (Q - 1) // e) for h in hs)
-    of_order_e = (x for x in candidates if nt.order_from_multiple(x, e, power, one) == e)
-    return FieldElem(ctx, next(of_order_e))
+    primes = nt.factorint(e)
+    return FieldElem(ctx, next(x for x in candidates if all(power(x, e // r) != one for r in primes)))

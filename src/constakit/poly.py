@@ -11,13 +11,14 @@ loop serves ``divmod``, ``%`` and `euclid`, the list-level Euclid under
 
 The context object supplies the coefficient arithmetic (``add``, ``mul``,
 ``inv``, ...), so this module works over any tower level from field.py
-without knowing how elements are encoded.
+without knowing how elements are encoded.  It also holds the two bases the
+package's classes share: `Shared`, for objects that are their own copies,
+and `Value`, the frozen value base of the seven value classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 
 class Shared:
@@ -32,19 +33,46 @@ class Shared:
         return self
 
 
+class Value:
+    """A frozen value, equal (to its own class only) and hashed by the fields it
+    compares.  A subclass names them in its class line, as in ``class C(Value,
+    fields=("a", "b", "_c"), compare=("a", "b"))`` (compare defaults to fields),
+    and its __init__ sets them through object.__setattr__ or its slots' setters.
+    __eq__ and __hash__ are compiled per class: through getattr they take twice as long."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, fields, compare=None):
+        cls._fields = fields
+        compare = fields if compare is None else compare
+        same = " and ".join(f"a.{f} == b.{f}" for f in compare)
+        key = "".join(f"a.{f}, " for f in compare)
+        methods = {}  # contexts and bases define no __eq__: they compare by identity
+        exec(f"def __eq__(a, b):\n return ({same}) if b.__class__ is a.__class__ else NotImplemented\n"
+             f"def __hash__(a):\n return hash(({key}))\n", methods)
+        cls.__eq__, cls.__hash__ = methods["__eq__"], methods["__hash__"]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+
 def slot_setters(cls) -> tuple:
-    """Each slot descriptor's __set__, in __slots__ order: a frozen dataclass's
-    own __init__ sets its fields through them at a plain object's cost."""
+    """Each slot descriptor's __set__, in __slots__ order: a Value's own
+    __init__ sets its fields through them at a plain object's cost."""
     return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
-@dataclass(frozen=True, repr=False)
-class Poly(Shared):
+class Poly(Shared, Value, fields=("ctx", "coeffs")):
     """Immutable dense polynomial, equal by (context identity, coefficients)."""
 
     __slots__ = ("ctx", "coeffs")
-    ctx: object
-    coeffs: tuple
 
     def __init__(self, ctx, coeffs: Iterable = ()):
         cs = list(coeffs)

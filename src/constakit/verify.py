@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable
+from collections.abc import Iterable
 
 from . import codes as cd
 from . import oracle as oc

@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
+
+from .poly import Value
 
 
-@dataclass(frozen=True)
-class ZnSet:
+class ZnSet(Value, fields=("n", "elements")):
     """A subset of Z_n; elements are stored reduced, sorted, deduplicated."""
-
-    n: int
-    elements: tuple[int, ...]
 
     def __init__(self, n: int, elements: Iterable[int] = ()):
         if type(n) is not int:

@@ -1,9 +1,8 @@
-"""The seven value classes share one contract: frozen, compared by value,
-hashed by value, refusing any assignment with AttributeError, and copied
-to an equal value."""
+"""The seven value classes share one contract, poly.Value's: frozen, compared
+by value, hashed by value, refusing any assignment or deletion with
+AttributeError, and copied to an equal value."""
 
 import copy
-import dataclasses
 
 import pytest
 
@@ -19,6 +18,7 @@ from constakit import (
     code_from_generating_set,
 )
 from constakit.field import FieldElem
+from constakit.poly import Value
 
 F3 = build_field(3, [])
 F5 = build_field(5, [])
@@ -42,11 +42,13 @@ MAKERS = {
 def test_value_classes_are_frozen_and_hash_by_value(name):
     make = MAKERS[name]
     a, b = make(), make()
-    assert type(a).__name__ == name and dataclasses.is_dataclass(a)
+    assert type(a).__name__ == name and isinstance(a, Value)
     assert a is not b and a == b and hash(a) == hash(b)
-    for f in dataclasses.fields(a):
+    for f in type(a)._fields:
         with pytest.raises(AttributeError):
-            setattr(a, f.name, getattr(a, f.name))
+            setattr(a, f, getattr(a, f))
+        with pytest.raises(AttributeError):
+            delattr(a, f)
     with pytest.raises(AttributeError):
         a.stray = 1
 
@@ -86,7 +88,7 @@ def test_deep_copied_spectrum_inverts_on_its_basis():
 def test_hand_written_inits_set_every_field(cls):
     """FieldElem and Poly set their fields through their slots' setters, so a
     field must be a slot, and each slot a field, for __init__ to set it."""
-    assert tuple(f.name for f in dataclasses.fields(cls)) == cls.__slots__
+    assert cls._fields == cls.__slots__
 
 
 @pytest.mark.parametrize("built,canonical", [
@@ -98,11 +100,12 @@ def test_hand_written_inits_set_every_field(cls):
 def test_values_built_by_init_are_frozen_slotted_values(built, canonical):
     a, b = built(), canonical()
     assert a == b and hash(a) == hash(b) and not hasattr(a, "__dict__")
-    for f in dataclasses.fields(a):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(a, f.name, getattr(a, f.name))
-    moved = dataclasses.replace(a, ctx=F5)
-    assert dataclasses.replace(a) == a and moved.ctx is F5 and moved != a
+    for f in type(a)._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, f, getattr(a, f))
+    ctx, value = (getattr(a, f) for f in type(a)._fields)
+    moved = type(a)(F5, value)  # FieldElem(F5, a.rep), Poly(F5, a.coeffs)
+    assert type(a)(ctx, value) == a and moved.ctx is F5 and moved != a
 
 
 @pytest.mark.parametrize("shown, expected", [
@@ -111,6 +114,9 @@ def test_values_built_by_init_are_frozen_slotted_values(built, canonical):
     (lambda: repr(CODE), "ConstaCode(q=3, n=4, lam=2, g=Poly(x^2 + x + 2))"),
     (lambda: repr(ZnSet(4, [3, 2, 6])), "ZnSet(4, {2, 3})"),
     (lambda: len(BASIS.forward([F3.elem(1), F3.elem(2)])), PARAMS.n),
-], ids=["RootBasis", "BasisFamily", "ConstaCode", "ZnSet", "len-Spectrum"])
+    (lambda: repr(PatternPoly(4, 2, F3.elem(2))), "PatternPoly(n=4, v=2, alpha=2)"),
+    (lambda: repr(BASIS.forward([F3.elem(1), F3.elem(2)])),
+     f"Spectrum(basis={BASIS!r}, values=(2*y, y, y + 2, 2*y + 2))"),
+], ids=["RootBasis", "BasisFamily", "ConstaCode", "ZnSet", "len-Spectrum", "PatternPoly", "Spectrum"])
 def test_reprs_and_spectrum_length_are_pinned(shown, expected):
     assert shown() == expected
