@@ -71,9 +71,7 @@ class CodeParams(Value, fields=("field", "n", "lam")):
     """
 
     def __init__(self, field: FieldCtx, n: int, lam: FieldElem):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "lam", lam)
+        super().__init__(field, n, lam)
         if not isinstance(lam, FieldElem) or lam.ctx is not field:
             raise ValueError("lam must be an element of the given field")
         if lam.is_zero:

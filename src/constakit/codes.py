@@ -27,11 +27,7 @@ class ConstaCode(Value, fields=("params", "generator", "basis", "gen_set", "_pat
     """An immutable constacyclic code, identified by (params, generator)."""
 
     def __init__(self, params: CodeParams, generator: Poly, basis: RootBasis, gen_set: ZnSet):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "gen_set", gen_set)
-        object.__setattr__(self, "_pattern", None)
+        super().__init__(params, generator, basis, gen_set, None)
 
     @property
     def dim(self) -> int:
@@ -144,9 +140,7 @@ class PatternPoly(Value, fields=("n", "v", "alpha")):
     """p(x) = sum_{i < n/v} alpha^i x^{iv}; trivial (p = 1) when v = n."""
 
     def __init__(self, n: int, v: int, alpha: FieldElem):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "alpha", alpha)
+        super().__init__(n, v, alpha)
         if v < 1 or n % v:
             raise ValueError(f"{v} does not divide the length {n}")
         if alpha.is_zero:

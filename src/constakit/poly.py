@@ -37,10 +37,15 @@ class Value:
     """A frozen value, equal (to its own class only) and hashed by the fields it
     compares.  A subclass names them in its class line, as in ``class C(Value,
     fields=("a", "b", "_c"), compare=("a", "b"))`` (compare defaults to fields),
-    and its __init__ sets them through object.__setattr__ or its slots' setters.
+    and Value.__init__ sets them from its arguments, in that order; a class built
+    in a hot loop sets them itself, through object.__setattr__ or its slots' setters.
     __eq__ and __hash__ are compiled per class: through getattr they take twice as long."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __init_subclass__(cls, fields, compare=None):
         cls._fields = fields
