@@ -140,7 +140,9 @@ class PatternPoly(Value, fields=("n", "v", "alpha")):
     """p(x) = sum_{i < n/v} alpha^i x^{iv}; trivial (p = 1) when v = n."""
 
     def __init__(self, n: int, v: int, alpha: FieldElem):
-        super().__init__(n, v, alpha)
+        object.__setattr__(self, "n", n)  # built in verify's hot loop, so set directly
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "alpha", alpha)
         if v < 1 or n % v:
             raise ValueError(f"{v} does not divide the length {n}")
         if alpha.is_zero:
