@@ -7,11 +7,21 @@ for products, gcd-based vs exhaustive pattern extraction, reciprocal
 vs nullspace duals, factored vs direct power generators, and the
 bound predicates.  The report carries counts, the failure total, and
 the first counterexample in full detail.
+
+The grid is a fixed sequence of units; at each point the factorization
+check, one unit per code, then one per unordered pair {i <= j} (the
+oracle once, the checks of both ordered pairs).  Worker w of W takes the
+units with index w mod W: the caller runs share 0 and forks the others.
+Counts add up, and the first counterexample is the failure at the
+smallest serial position (point, phase, i, j), so W never shows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import sys
 from collections import Counter
 from collections.abc import Iterable
 
@@ -37,20 +47,22 @@ def field_for_cardinality(q: int) -> FieldCtx:
 
 
 class _Recorder:
-    """Counts attempts and failures per check, keeping the first failure."""
+    """One share's counts, and as ``first`` its failure at the smallest serial
+    position (point, phase, i, j) with its details; ``at`` is the current one."""
 
     def __init__(self):
+        self.points = self.codes = self.pairs = 0
         self.checks: Counter[str] = Counter()
         self.failed: Counter[str] = Counter()
-        self.first = None
+        self.at = self.first = None
 
     def record(self, name: str, ok: bool, context, **extra):
         """Count one check; context() builds the details of a first failure."""
         self.checks[name] += 1
         if not ok:
             self.failed[name] += 1
-            if self.first is None:
-                self.first = {"check": name, **context(), **extra}
+            if self.first is None or self.at < self.first[0]:
+                self.first = (self.at, {"check": name, **context(), **extra})
 
 
 def _context(ctxinfo: dict, **codes):
@@ -136,6 +148,66 @@ def _check_single_code(c: cd.ConstaCode, rec: _Recorder, ctxinfo: dict) -> None:
             rec.record("factored_power", ok, info, i=i)
 
 
+def _run_share(qs: list, n_max: int, corrupt: bool, w: int, workers: int) -> _Recorder:
+    """Worker w's share: it builds and counts every code, and checks its units."""
+    rec = _Recorder()
+    owned = (u % workers == w for u in itertools.count())
+    for q in qs:
+        field = field_for_cardinality(q)
+        for n in range(1, n_max + 1):
+            if math.gcd(n, q) != 1:
+                continue
+            fam = cd.basis_family(field, n)
+            for lam_idx in range(1, q):
+                point = rec.points
+                rec.points += 1
+                basis = fam.basis_for_lambda(field.elem(lam_idx))
+                ctxinfo = {"q": q, "n": n, "lam": lam_idx}
+                all_codes = _divisor_codes(basis)
+                rec.codes += len(all_codes)
+                if next(owned):
+                    # The last code has every orbit in its zero set, so its
+                    # generator is the product of all the irreducible factors.
+                    rec.at = (point, 0, 0, 0)
+                    ok = all_codes[-1].generator == basis.params.xn_minus_lam
+                    rec.record("factorization_product", ok, _context(ctxinfo))
+                for i, c in enumerate(all_codes):
+                    if next(owned):
+                        rec.at = (point, 1, i, 0)
+                        _check_single_code(c, rec, ctxinfo)
+                for i, j in itertools.combinations_with_replacement(range(len(all_codes)), 2):
+                    if not next(owned):
+                        continue
+                    oracle_dim, oracle_gen = oc.oracle_schur_product(all_codes[i], all_codes[j])
+                    for a, b in dict.fromkeys([(i, j), (j, i)]):
+                        c1, c2 = all_codes[a], all_codes[b]
+                        rec.at = (point, 2, a, b)
+                        info = _context(ctxinfo, g1=c1, g2=c2)
+                        by_sum = cd.schur_product_sumset(c1, c2)
+                        by_gcd = cd.schur_product_gcd(c1, c2)
+                        sum_gen = by_sum.generator
+                        if corrupt and rec.at == (0, 2, 0, 0):
+                            sum_gen = sum_gen + Poly.one(field)
+                        ok = sum_gen == by_gcd.generator == oracle_gen
+                        rec.record("product_methods_agree", ok, info)
+                        rec.record("product_dim", by_sum.dim == by_gcd.dim == oracle_dim, info)
+                        rec.record("product_sets_agree", by_sum.gen_set == by_gcd.gen_set, info)
+                        if not c1.is_zero and not c2.is_zero:
+                            ok = cd.pattern_of_product(c1, c2) == cd.pattern_polynomial(by_sum)
+                            rec.record("product_pattern", ok, info)
+                        rec.pairs += 1
+    return rec
+
+
+def _worker_count() -> int:
+    """Usable CPUs, at most 8; 1 without fork or while another thread runs."""
+    threads = sys.modules.get("threading")
+    if not hasattr(os, "fork") or threads and threads.active_count() > 1:
+        return 1  # a forked child keeps only the calling thread
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    return min(len(cpus), 8)
+
+
 def run_grid_verification(
     qs: Iterable[int] = (2, 3, 5),
     n_max: int = 10,
@@ -150,63 +222,53 @@ def run_grid_verification(
     if any(type(x) is not int for x in (*qs, n_max)) or n_max < 1:  # int(2.5) would run q = 2
         raise ValueError(f"field sizes must be ints and n_max an int >= 1, got {qs!r} and {n_max!r}")
     qs = sorted(set(qs))
-    rec = _Recorder()
-    points = 0
-    codes_checked = 0
-    pairs_checked = 0
-    for q in qs:
-        field = field_for_cardinality(q)
-        for n in range(1, n_max + 1):
-            if math.gcd(n, q) != 1:
-                continue
-            fam = cd.basis_family(field, n)
-            for lam_idx in range(1, q):
-                lam = field.elem(lam_idx)
-                points += 1
-                basis = fam.basis_for_lambda(lam)
-                ctxinfo = {"q": q, "n": n, "lam": lam_idx}
-
-                all_codes = _divisor_codes(basis)
-                # The last code has every orbit in its zero set, so its
-                # generator is the product of all the irreducible factors.
-                rec.record(
-                    "factorization_product",
-                    all_codes[-1].generator == basis.params.xn_minus_lam,
-                    _context(ctxinfo),
-                )
-                codes_checked += len(all_codes)
-                for c in all_codes:
-                    _check_single_code(c, rec, ctxinfo)
-
-                oracle_cache: dict = {}
-                for i, c1 in enumerate(all_codes):
-                    for j, c2 in enumerate(all_codes):
-                        info = _context(ctxinfo, g1=c1, g2=c2)
-                        by_sum = cd.schur_product_sumset(c1, c2)
-                        by_gcd = cd.schur_product_gcd(c1, c2)
-                        key = (min(i, j), max(i, j))
-                        if key not in oracle_cache:
-                            oracle_cache[key] = oc.oracle_schur_product(c1, c2)
-                        oracle_dim, oracle_gen = oracle_cache[key]
-                        sum_gen = by_sum.generator
-                        if corrupt and pairs_checked == 0:
-                            sum_gen = sum_gen + Poly.one(field)
-                        ok = sum_gen == by_gcd.generator == oracle_gen
-                        rec.record("product_methods_agree", ok, info)
-                        rec.record("product_dim", by_sum.dim == by_gcd.dim == oracle_dim, info)
-                        rec.record("product_sets_agree", by_sum.gen_set == by_gcd.gen_set, info)
-                        if not c1.is_zero and not c2.is_zero:
-                            ok = cd.pattern_of_product(c1, c2) == cd.pattern_polynomial(by_sum)
-                            rec.record("product_pattern", ok, info)
-                        pairs_checked += 1
-
+    workers = _worker_count()
+    children = []
+    try:
+        for w in range(1, workers):
+            import pickle
+            read_fd, write_fd = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:  # worker w writes its share, or its exception, as one pickle
+                    try:
+                        share = _run_share(qs, n_max, corrupt, w, workers)
+                    except Exception as exc:
+                        share = exc
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pipe.write(pickle.dumps(share))
+                finally:  # never return into the caller, flush its buffers or run its atexit hooks
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        rec = _run_share(qs, n_max, corrupt, 0, workers)
+    except BaseException:
+        import signal
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        ends = []
+        for pid, read_fd in children:
+            with os.fdopen(read_fd, "rb") as pipe:
+                ends.append((pipe.read(), os.waitpid(pid, 0)[1]))
+    for w, (data, status) in enumerate(ends, 1):
+        if not data:
+            raise RuntimeError(f"verify worker {w} exited without a result (wait status {status})")
+        share = pickle.loads(data)
+        if isinstance(share, Exception):
+            raise share
+        rec.pairs += share.pairs
+        rec.checks += share.checks
+        rec.failed += share.failed
+        if share.first and (rec.first is None or share.first[0] < rec.first[0]):
+            rec.first = share.first
     return {
         "grid": {"q": qs, "n_max": n_max},
-        "points": points,
-        "codes_checked": codes_checked,
-        "pairs_checked": pairs_checked,
+        "points": rec.points,
+        "codes_checked": rec.codes,
+        "pairs_checked": rec.pairs,
         "checks": dict(sorted(rec.checks.items())),
         "failures": sum(rec.failed.values()),
         "failed_by_check": dict(sorted(rec.failed.items())),
-        "first_counterexample": rec.first,
+        "first_counterexample": None if rec.first is None else rec.first[1],
     }
